@@ -18,18 +18,14 @@ object Baselines {
       seedLabels: DataFrame,
       k: Int,
       iterations: Int = 20): DataFrame = {
-    val x = GraphOps.materialize(GraphOps.oneHot(seedLabels))
-    val seedNodes = GraphOps.materialize(seedLabels.select("node"))
+    import GraphOps.{named, scale, values}
+    val x = GraphOps.oneHot(seedLabels, k)
+    val clamp = x.select(col("node") +: lit(true).as("seed") +: named(values(k), "x"): _*)
     var f = x
     for (_ <- 1 to iterations) {
-      val avgd = GraphOps
-        .multiply(g.edges, f)
-        .join(g.degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-        .select(col("node"), col("cls"), (col("v") / col("deg")).as("v"))
-      val clamped = avgd
-        .join(seedNodes.withColumnRenamed("node", "__s"), col("node") === col("__s"), "left_anti")
-        .unionByName(x)
-      f = GraphOps.materialize(clamped)
+      f = GraphOps.materialize(GraphOps.multiply(g.edges, f, g.degrees, clamp).select(
+        col("node") +: named(values(k, "x").zip(scale(values(k), lit(1.0) / col("deg")))
+          .map { case (xj, avg) => when(col("seed"), xj).otherwise(avg) }): _*))
     }
     f
   }
@@ -44,20 +40,21 @@ object Baselines {
       k: Int,
       alpha: Double = 0.85,
       iterations: Int = 20): DataFrame = {
-    val perClass = seedLabels.groupBy("cls").agg(count(lit(1)).as("__cnt"))
+    import GraphOps.{named, plus, scale, values}
+    val cls = GraphOps.checkedClass(col("cls"), k)
     val u = GraphOps.materialize(
       seedLabels
-        .join(perClass, Seq("cls"))
-        .select(col("node"), col("cls"), (lit(1.0) / col("__cnt")).as("v")))
-    var f = u
+        .join(seedLabels.groupBy("cls").agg(count(lit(1)).as("__cnt")), "cls")
+        .select(col("node") +: named((0 until k).map(j => when(cls === j, lit(1.0) / col("__cnt")).otherwise(0.0))): _*))
+    val restart = u.select(col("node") +: named(values(k), "u"): _*)
+    // F carries each node's degree, so W^col·F scales the sent rows by 1/deg.
+    var f = u.join(g.degrees, Seq("node"), "left")
     for (_ <- 1 to iterations) {
-      // W^col·F: scale each sender's row by 1/deg before the hop.
-      val scaled = f
-        .join(g.degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-        .select(col("node"), col("cls"), (col("v") / col("deg")).as("v"))
-      val walked = GraphOps.scale(GraphOps.multiply(g.edges, scaled), alpha)
-      f = GraphOps.materialize(GraphOps.plus(GraphOps.scale(u, 1.0 - alpha), walked))
+      val sent = f.select(col("node") +: named(scale(values(k), lit(1.0) / col("deg"))): _*)
+      f = GraphOps.materialize(GraphOps.multiply(g.edges, sent, g.degrees, restart).select(
+        (col("node") +: col("deg") +: named(plus(
+          scale(values(k, "u").map(coalesce(_, lit(0.0))), lit(1.0 - alpha)), scale(values(k), lit(alpha))))): _*))
     }
-    f
+    f.drop("deg")
   }
 }

@@ -160,7 +160,7 @@ object Estimators {
       s: Double = 0.5,
       seed: Long = 0,
       rhoW: Option[Double] = None): EstimationResult = {
-    val rho = rhoW.getOrElse(GraphOps.spectralRadius(g))
+    val rho = LinBP.nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g)))
     val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
       val tagged = GraphOps.materialize(
         seedLabels.withColumn("__r", rand(seed + i) < 0.5))

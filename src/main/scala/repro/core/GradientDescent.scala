@@ -72,14 +72,13 @@ object GradientDescent {
       var bt = 0
       var accepted = false
       var xNew = x
-      var fNew = fx
       while (!accepted && bt < maxBacktracks) {
         val cand = Array.tabulate(d)(i => x(i) + t * dir(i))
-        val fc = fg(cand)._1
-        if (fc <= fx + armijoC * t * slope) { accepted = true; xNew = cand; fNew = fc }
+        if (fg(cand)._1 <= fx + armijoC * t * slope) { accepted = true; xNew = cand }
         else { t /= 2.0; bt += 1 }
       }
-      if (!accepted) return Result(x, fx, gNorm, it, converged = true) // numerically stationary
+      // No step decreases f: stop where we are, converged only if the gradient says so.
+      if (!accepted) return Result(x, fx, gNorm, it, converged = gNorm <= gradTol)
 
       val (fx2, gx2) = fg(xNew)
       val s = Array.tabulate(d)(i => xNew(i) - x(i))
@@ -108,7 +107,6 @@ object GradientDescent {
       }
       x = xNew; fx = fx2; gx = gx2
       it += 1
-      fNew // (line-search value; superseded by the fresh evaluation above)
     }
     val gNorm = norm(gx)
     Result(x, fx, gNorm, it, converged = gNorm <= gradTol)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
@@ -8,29 +8,31 @@ import repro.linalg.Dense
   *
   * ``edges`` has columns (src: Long, dst: Long); every undirected edge
   * appears in both directions, there are no self-loops and no duplicates,
-  * so W is the symmetric 0/1 adjacency matrix. Nodes are 0..n−1.
+  * so W is the symmetric 0/1 adjacency matrix. Nodes are 0..n−1. Graphs
+  * built by [[GraphOps.fromUndirected]] hold ``edges`` persisted and
+  * hash-partitioned by ``dst``, the key every hop joins on.
   */
 final case class SparseGraph(n: Long, edges: DataFrame) {
 
   /** Number of undirected edges m = |E|. */
   lazy val m: Long = edges.count() / 2
 
-  /** Node degrees (node: Long, deg: Double); degree-0 nodes are absent. */
-  lazy val degrees: DataFrame = {
-    val d = edges
-      .groupBy(col("src").as("node"))
-      .agg(count(lit(1)).cast("double").as("deg"))
-      .localCheckpoint(true)
-    d
-  }
+  /** Node degrees (node: Long, deg: Double); degree-0 nodes are absent.
+    * W is symmetric, so degrees are counted per ``dst``, the key the edges
+    * are partitioned by: no exchange.
+    */
+  lazy val degrees: DataFrame = GraphOps.materialize(
+    edges.groupBy("dst").agg(count(lit(1)).cast("double").as("deg")).withColumnRenamed("dst", "node"))
 }
 
-/** Distributed sparse linear algebra over the (node, cls, v) "long" layout.
+/** Distributed sparse linear algebra over the wide layout.
   *
-  * An n×k matrix (beliefs F, label matrix X, path-count sketches N) is a
-  * DataFrame with columns (node: Long, cls: Int, v: Double); absent rows
-  * are zeros. All operators are plain relational joins/aggregations, so
-  * Catalyst plans them and the DuckDB oracle can check them as SQL.
+  * An n×k matrix (beliefs F, label matrix X, path counts N) is a DataFrame
+  * with one row per node, (node: Long, v0: Double, …, v{k−1}: Double);
+  * absent nodes are zero rows. Row-wise algebra (F·H, (D − c·I)·F, sums) is
+  * arithmetic over the k columns of a row, generated for the k at hand, so
+  * it needs no join, UDF or shuffle, and every plan stays plain SQL that the
+  * DuckDB oracle can check. Only W·F ([[multiply]]) moves data.
   */
 object GraphOps {
 
@@ -39,98 +41,137 @@ object GraphOps {
     */
   def materialize(df: DataFrame): DataFrame = df.localCheckpoint(true)
 
-  /** W·F — one hop of message passing: every node sums its neighbors'
-    * class-vectors. `edges ⋈ F on dst` → `groupBy (src, cls) sum(v)`.
-    */
-  def multiply(edges: DataFrame, f: DataFrame): DataFrame =
-    edges
-      .join(f.withColumnRenamed("node", "__n"), col("dst") === col("__n"))
-      .groupBy(col("src").as("node"), col("cls"))
-      .agg(sum("v").as("v"))
+  /** Names prefix0..prefix{k−1} of a wide matrix's value columns. */
+  def names(k: Int, prefix: String = "v"): Seq[String] = (0 until k).map(j => s"$prefix$j")
 
-  /** F·H — modulate each node's class-vector by the k×k matrix H.
-    * H is tiny, so its rows ship as a literal lookup (no join, no shuffle
-    * beyond the final re-aggregation).
-    */
-  def applyH(f: DataFrame, h: Dense): DataFrame = {
-    val rows: Array[Seq[Double]] =
-      Array.tabulate(h.rows)(i => (0 until h.cols).map(j => h(i, j)))
-    val rowOf = udf((c: Int) => rows(c))
-    f.select(col("node"), col("v"), posexplode(rowOf(col("cls"))).as(Seq("ocls", "hv")))
-      .groupBy(col("node"), col("ocls").as("cls"))
-      .agg(sum(col("v") * col("hv")).as("v"))
-  }
+  /** The value columns of a wide matrix, as one row of k columns. */
+  def values(k: Int, prefix: String = "v"): Seq[Column] = names(k, prefix).map(col)
 
-  /** Elementwise sum of two long-format matrices. */
-  def plus(a: DataFrame, b: DataFrame): DataFrame =
-    a.unionByName(b).groupBy("node", "cls").agg(sum("v").as("v"))
+  /** Name a row of columns prefix0..prefix{k−1}. */
+  def named(row: Seq[Column], prefix: String = "v"): Seq[Column] =
+    row.zipWithIndex.map { case (c, j) => c.as(s"$prefix$j") }
+
+  // --- row algebra: one n×k matrix row is a Seq of k columns -------------
+
+  /** Elementwise sum of two rows. */
+  def plus(a: Seq[Column], b: Seq[Column]): Seq[Column] = a.zip(b).map { case (x, y) => x + y }
 
   /** Elementwise difference a − b. */
-  def minus(a: DataFrame, b: DataFrame): DataFrame =
-    plus(a, scale(b, -1.0))
+  def minus(a: Seq[Column], b: Seq[Column]): Seq[Column] = a.zip(b).map { case (x, y) => x - y }
 
-  /** Scalar multiple. */
-  def scale(f: DataFrame, s: Double): DataFrame =
-    f.withColumn("v", col("v") * s)
+  /** Scalar (or per-row column) multiple. */
+  def scale(a: Seq[Column], s: Column): Seq[Column] = a.map(_ * s)
 
-  /** (D − c·I)·F — scale each node's row by (degree − c). */
-  def diagScale(f: DataFrame, degrees: DataFrame, c: Double): DataFrame =
-    f.join(degrees.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-      .select(col("node"), col("cls"), (col("v") * (col("deg") - lit(c))).as("v"))
+  /** F·H — modulate a node's row by the k_in×k_out matrix H, whose entries
+    * enter the plan as literals: (r·H)_j = Σ_i r_i·H(i, j).
+    */
+  def applyH(r: Seq[Column], h: Dense): Seq[Column] = {
+    require(r.length == h.rows, s"row has ${r.length} columns, H has ${h.rows} rows")
+    (0 until h.cols).map(j => r.indices.map(i => r(i) * lit(h(i, j))).reduce(_ + _))
+  }
 
-  /** One-hot n×k long-format matrix from (node, cls) labels. */
-  def oneHot(labels: DataFrame): DataFrame =
-    labels.select(col("node"), col("cls"), lit(1.0).as("v"))
+  /** (D − c·I)·F on one row: scale by (degree − c). */
+  def diagScale(r: Seq[Column], deg: Column, c: Double): Seq[Column] = scale(r, deg - lit(c))
+
+  // --- n×k matrices -------------------------------------------------------
+
+  /** ``cls`` itself, or a query error when it lies outside [0, k). */
+  def checkedClass(cls: Column, k: Int): Column =
+    when(cls.between(0, k - 1), cls).otherwise(raise_error(
+      concat(lit(s"class id outside [0,$k): "), coalesce(cls.cast("string"), lit("null")))))
+
+  /** One-hot n×k matrix X from (node, cls) labels: row e_cls. A class id
+    * outside [0, k) fails the query that reads the matrix.
+    */
+  def oneHot(labels: DataFrame, k: Int): DataFrame = indicator(labels, k, 1.0, 0.0)
 
   /** Centered label matrix X̃: a node labeled c gets the residual row
     * e_c − 1/k (Section 3.1); unlabeled nodes stay absent (all-zero).
     */
-  def centeredOneHot(labels: DataFrame, k: Int): DataFrame = {
-    val resid = udf((c: Int) => (0 until k).map(j => if (j == c) 1.0 - 1.0 / k else -1.0 / k))
-    labels.select(col("node"), posexplode(resid(col("cls"))).as(Seq("ocls", "rv")))
-      .select(col("node"), col("ocls").as("cls"), col("rv").as("v"))
+  def centeredOneHot(labels: DataFrame, k: Int): DataFrame = indicator(labels, k, 1.0 - 1.0 / k, -1.0 / k)
+
+  private def indicator(labels: DataFrame, k: Int, on: Double, off: Double): DataFrame = {
+    val c = checkedClass(col("cls"), k)
+    labels.select(col("node") +: named((0 until k).map(j => when(c === j, on).otherwise(off))): _*)
   }
 
-  /** Xᵀ·N — collapse an n×k long matrix against labels into a k×k driver
+  /** W·F — one hop of message passing: every node sums its neighbours'
+    * rows of ``f``, all of whose columns but ``node`` are summed:
+    * `edges ⋈ f on dst` → `groupBy src`.
+    *
+    * Each node's own rows of ``own`` ride along in the same aggregation
+    * (merged column-wise by max, so frames with different columns combine
+    * into one row), which spares a join of the result against the node's
+    * previous state. Nodes with no neighbour in ``f`` sum to zero; nodes
+    * without an own row get nulls. On edges from [[fromUndirected]] the join
+    * exchanges only ``f`` (the hash-join build side), and the group-by only
+    * the partial sums.
+    */
+  def multiply(edges: DataFrame, f: DataFrame, own: DataFrame*): DataFrame = {
+    val sums = f.columns.toSeq.filter(_ != "node")
+    val carried = own.flatMap(_.schema.fields.filter(_.name != "node")).map(c => c.name -> c.dataType).distinct
+    def carry(o: Option[DataFrame]): Seq[Column] = carried.map { case (c, t) =>
+      if (o.exists(_.columns.contains(c))) col(c) else lit(null).cast(t).as(c)
+    }
+    val messages = edges
+      .join(f.withColumnRenamed("node", "__n").hint("shuffle_hash"), col("dst") === col("__n"))
+      .select((col("src").as("node") +: sums.map(col)) ++ carry(None): _*)
+    val rows = own.map(o => o.select((col("node") +: sums.map(c => lit(0.0).as(c))) ++ carry(Some(o)): _*))
+    val aggs = sums.map(c => sum(c).as(c)) ++ carried.map { case (c, _) => max(c).as(c) }
+    rows.foldLeft(messages)(_ unionByName _).groupBy("node").agg(aggs.head, aggs.tail: _*)
+  }
+
+  /** A k×k driver matrix from per-class rows (c, M_c·) — class sums of an
+    * n×k matrix, collected. A class id outside [0, k) fails here, before
+    * it could land in the wrong cell.
+    */
+  def classMatrix(k: Int, rows: Seq[(Int, Array[Double])]): Dense = {
+    val out = Dense.zeros(k, k)
+    for ((c, row) <- rows) {
+      require(c >= 0 && c < k, s"class id outside [0,$k): $c")
+      Array.copy(row, 0, out.data, c * k, k)
+    }
+    out
+  }
+
+  /** Xᵀ·N — collapse an n×k matrix against labels into a k×k driver
     * matrix: M_cd = Σ_{i labeled c} N_id.
     */
   def collapse(labels: DataFrame, nMat: DataFrame, k: Int): Dense = {
+    val sums = names(k).map(c => sum(c).as(c))
     val rows = labels
-      .withColumnRenamed("cls", "lcls")
       .join(nMat.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-      .groupBy(col("lcls"), col("cls"))
-      .agg(sum("v").as("v"))
+      .groupBy("cls").agg(sums.head, sums.tail: _*)
       .collect()
-    val out = Dense.zeros(k, k).data
-    rows.foreach { r =>
-      out(r.getInt(0) * k + r.getInt(1)) = r.getDouble(2)
-    }
-    new Dense(k, k, out)
+    classMatrix(k, rows.map(r => r.getInt(0) -> Array.tabulate(k)(j => r.getDouble(j + 1))).toSeq)
   }
 
   /** argmax over classes: (node, cls) with the highest belief; ties break
     * toward the smallest class id so results are deterministic.
     */
-  def argmaxLabels(f: DataFrame): DataFrame =
-    f.groupBy("node")
-      .agg(max(struct(col("v"), (-col("cls")).as("negc"))).as("top"))
-      .select(col("node"), (-col("top.negc")).cast("int").as("cls"))
+  def argmaxLabels(f: DataFrame): DataFrame = {
+    val v = values(f.columns.count(_.matches("v\\d+")))
+    val top = greatest(v: _*)
+    val cls = v.indices.tail.foldLeft(when(v.head === top, 0)) { (acc, j) => acc.when(v(j) === top, j) }
+    f.select(col("node"), cls.as("cls"))
+  }
 
-  /** Spectral radius ρ(W) by distributed power iteration (symmetric W). */
+  /** Spectral radius ρ(W) by distributed power iteration (symmetric W);
+    * 0.0 for a graph without edges.
+    *
+    * The first product W·1 is the degree vector. Each later hop sends
+    * v/‖v‖ with the norm of the previous product as a literal, so
+    * normalizing costs no pass of its own.
+    */
   def spectralRadius(g: SparseGraph, iters: Int = 25): Double = {
-    var v = g.edges.select(col("src").as("node")).distinct
-      .withColumn("v", lit(1.0))
-    var lambda = 0.0
-    for (_ <- 1 to iters) {
-      val w = g.edges
-        .join(v.withColumnRenamed("node", "__n"), col("dst") === col("__n"))
-        .groupBy(col("src").as("node"))
-        .agg(sum("v").as("v"))
-      val wm = materialize(w)
-      val norm = math.sqrt(wm.agg(sum(col("v") * col("v"))).first().getDouble(0))
-      if (norm == 0.0) return 0.0
-      lambda = norm
-      v = materialize(wm.withColumn("v", col("v") / norm))
+    // One job: a plain RDD fold needs no exchange, unlike a global agg.
+    def norm(v: DataFrame): Double =
+      math.sqrt(v.select(col("v") * col("v")).rdd.map(_.getDouble(0)).fold(0.0)(_ + _))
+    var v = g.degrees.withColumnRenamed("deg", "v")
+    var lambda = norm(v)
+    for (_ <- 2 to iters if lambda > 0) {
+      v = materialize(multiply(g.edges, v.select(col("node"), (col("v") / lit(lambda)).as("v"))))
+      lambda = norm(v)
     }
     lambda
   }
@@ -155,28 +196,36 @@ object GraphOps {
     p
   }
 
-  /** Collect a long-format n×k matrix into a dense driver matrix — tests
-    * and small-n reference checks only.
+  /** Collect a wide n×k matrix into a dense driver matrix — tests and
+    * small-n reference checks only.
     */
   def collectDense(f: DataFrame, n: Int, k: Int): Dense = {
     val out = Dense.zeros(n, k).data
-    f.collect().foreach { r =>
-      out(r.getLong(0).toInt * k + r.getInt(1)) = r.getDouble(2)
+    f.select(col("node") +: values(k): _*).collect().foreach { r =>
+      for (j <- 0 until k) out(r.getLong(0).toInt * k + j) = r.getDouble(j + 1)
     }
     new Dense(n, k, out)
   }
 
   /** Build a SparseGraph from an undirected edge list (one direction),
     * deduplicating, dropping self-loops and adding reverse edges.
+    *
+    * The edges are hash-partitioned by ``dst`` and held persisted, so a hop
+    * scans them with no exchange. (A localCheckpoint would drop that
+    * partitioning.) The partition count is ``spark.sql.shuffle.partitions``
+    * capped at the default parallelism: the join of every hop runs one task
+    * per edge partition, and adaptive execution cannot coalesce a side it
+    * does not shuffle. Deduplication clusters on (src, dst), which the dst
+    * partitioning already satisfies. The input is checkpointed first, so no
+    * later plan over the edges carries the input's own plan along.
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
     val e = undirected.select(col("src").cast("long"), col("dst").cast("long"))
       .where(col("src") =!= col("dst"))
-    val canon = e.select(
-      least(col("src"), col("dst")).as("src"),
-      greatest(col("src"), col("dst")).as("dst")
-    ).distinct()
-    val both = canon.unionByName(canon.select(col("dst").as("src"), col("src").as("dst")))
-    SparseGraph(n, materialize(both))
+    val both = materialize(e.unionByName(e.select(col("dst").as("src"), col("src").as("dst"))))
+    val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)
+    val edges = both.repartition(parts, col("dst")).distinct().persist()
+    edges.count()
+    SparseGraph(n, edges)
   }
 }

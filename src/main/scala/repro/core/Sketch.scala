@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
 /** The factorized graph representations ("sketches") of §4.3–4.6.
@@ -60,38 +61,54 @@ object Sketch {
     * Both the full-path and the non-backtracking families are produced
     * (the full-path family feeds the biased estimator P̂⁽ℓ⁾ used as the
     * comparison arm of Thm. 4.1, and ℓ ≤ 2 of it feeds LCE).
+    *
+    * The state holds one row per node: (node, deg, lbl, a = N_NB⁽ℓ⁾,
+    * p = N_NB⁽ℓ⁻¹⁾, f = N⁽ℓ⁾), so each ℓ is one hop of [[GraphOps.multiply]]
+    * that carries the node's own deg, lbl and previous rows along; the
+    * full-path family rides the same group-by. Xᵀ·N is a sum by lbl over
+    * the labeled rows of every state, collected once at the end. A seed
+    * class id outside [0, k) fails the first hop.
     */
   def compute(g: SparseGraph, seedLabels: DataFrame, k: Int, lmax: Int): Sketches = {
     require(lmax >= 1, "lmax must be >= 1")
-    val x = GraphOps.materialize(GraphOps.oneHot(seedLabels))
-    val nLabeled = x.select("node").distinct().count()
+    import GraphOps.{diagScale, minus, named, names, values}
+    val (a, p, q, f) = (values(k, "a"), values(k, "p"), values(k, "q"), values(k, "f"))
+    val labeled = seedLabels.select(col("node"), GraphOps.checkedClass(col("cls"), k).as("lbl"))
+    val x = (0 until k).map(j => when(col("lbl") === j, 1.0).otherwise(0.0))
 
-    val mFull = Vector.newBuilder[Dense]
-    val mNB = Vector.newBuilder[Dense]
+    // ℓ = 1: N⁽¹⁾ = W·X for both families; the own rows bring deg, lbl and N⁽⁰⁾ = X.
+    val hop1 = GraphOps.multiply(g.edges, labeled.select(col("node") +: named(x, "a"): _*),
+      g.degrees, labeled.select(col("node") +: col("lbl") +: named(x, "p"): _*))
+    val states = Vector.newBuilder[DataFrame]
+    var state = GraphOps.materialize(hop1.select(
+      (col("node") +: coalesce(col("deg"), lit(0.0)).as("deg") +: col("lbl") +: named(a, "a")) ++
+        named(p.map(coalesce(_, lit(0.0))), "p") ++ named(a, "f"): _*))
+    states += state
 
-    // ℓ = 1: W_NB⁽¹⁾ = W, so both families share N⁽¹⁾ = W·X.
-    val n1 = GraphOps.materialize(GraphOps.multiply(g.edges, x))
-    mFull += GraphOps.collapse(x.select("node", "cls"), n1, k)
-    mNB += GraphOps.collapse(x.select("node", "cls"), n1, k)
-
-    var fullPrev = n1 // N⁽ℓ⁻¹⁾ for full paths
-    var nbPrev2 = x   // N_NB⁽ℓ⁻²⁾
-    var nbPrev1 = n1  // N_NB⁽ℓ⁻¹⁾
     for (l <- 2 to lmax) {
-      val fullCur = GraphOps.materialize(GraphOps.multiply(g.edges, fullPrev))
-      mFull += GraphOps.collapse(x.select("node", "cls"), fullCur, k)
-      fullPrev = fullCur
-
-      // ℓ = 2 subtracts D·X; ℓ ≥ 3 subtracts (D−I)·N_NB⁽ℓ⁻²⁾ (Prop. 4.3).
+      // N⁽ℓ⁾ = W·N⁽ℓ⁻¹⁾; N_NB⁽ℓ⁾ = W·N_NB⁽ℓ⁻¹⁾ − (D − c·I)·N_NB⁽ℓ⁻²⁾ with
+      // c = 0 at ℓ = 2 (subtracting D·X) and 1 after (Prop. 4.3). At ℓ = 2
+      // both families start from N⁽¹⁾, so it is sent once.
+      val send = state.select(col("node") +: (if (l == 2) a else a ++ f): _*)
+      val own = state.select((col("node") +: col("deg") +: col("lbl") +: named(a, "p")) ++ named(p, "q"): _*)
       val c = if (l == 2) 0.0 else 1.0
-      val nbCur = GraphOps.materialize(
-        GraphOps.minus(
-          GraphOps.multiply(g.edges, nbPrev1),
-          GraphOps.diagScale(nbPrev2, g.degrees, c)))
-      mNB += GraphOps.collapse(x.select("node", "cls"), nbCur, k)
-      nbPrev2 = nbPrev1
-      nbPrev1 = nbCur
+      state = GraphOps.materialize(GraphOps.multiply(g.edges, send, own).select(
+        (col("node") +: col("deg") +: col("lbl") +: named(minus(a, diagScale(q, col("deg"), c)), "a")) ++
+          named(p, "p") ++ named(if (l == 2) a else f, "f"): _*))
+      states += state
     }
-    Sketches(k, lmax, nLabeled, mFull.result(), mNB.result())
+
+    // One row per (ℓ, class): (l, lbl, cnt, Σa, Σf) over the labeled nodes.
+    val sums = (names(k, "a") ++ names(k, "f")).map(c => sum(c).as(c))
+    val rows = states.result().zipWithIndex
+      .map { case (s, i) => s.where(col("lbl").isNotNull).select((lit(i + 1).as("l") +: col("lbl") +: a) ++ f: _*) }
+      .reduce(_ unionByName _)
+      .groupBy("l", "lbl").agg(count(lit(1)).as("cnt"), sums: _*)
+      .collect().toSeq
+    def family(l: Int, offset: Int): Dense =
+      GraphOps.classMatrix(k, rows.filter(_.getInt(0) == l)
+        .map(r => r.getInt(1) -> Array.tabulate(k)(j => r.getDouble(3 + offset + j))))
+    val nLabeled = rows.filter(_.getInt(0) == 1).map(_.getLong(2)).sum
+    Sketches(k, lmax, nLabeled, (1 to lmax).map(family(_, k)), (1 to lmax).map(family(_, 0)))
   }
 }

@@ -33,7 +33,7 @@ object Accuracy {
     * f = 1 (§5.3). This is what the paper calls GS for real data.
     */
   def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense = {
-    val x = GraphOps.oneHot(labels)
+    val x = GraphOps.oneHot(labels, k)
     val n1 = GraphOps.multiply(g.edges, x)
     GraphOps.collapse(labels, n1, k).rowNormalized
   }

@@ -182,6 +182,14 @@ class EstimatorsSpec extends SparkSpec {
     assert(acc > 1.0 / k, s"holdout-estimated H should beat random labeling, got $acc")
   }
 
+  test("Holdout fails clearly on a graph without edges (ρ(W) = 0)") {
+    import spark.implicits._
+    val empty = GraphOps.fromUndirected(spark, 10, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    val seeds = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 2, 3 -> 0))
+    val e = intercept[IllegalArgumentException](Estimators.holdout(empty, seeds, k, maxEvals = 4))
+    assert(e.getMessage.contains("ρ(W) = 0"), e.getMessage)
+  }
+
   test("end-to-end accuracy with DCEr is close to accuracy with GS (Result 2)") {
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.02, seed = 11)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)

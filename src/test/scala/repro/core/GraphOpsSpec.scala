@@ -45,28 +45,73 @@ class GraphOpsSpec extends SparkSpec {
       "edges" -> g.edges)
   }
 
+  /** Select one generated row of columns as v0..v{k−1} beside node. */
+  private def rowOf(df: org.apache.spark.sql.DataFrame, row: Seq[org.apache.spark.sql.Column]) =
+    df.select(col("node") +: GraphOps.named(row): _*)
+
   test("multiply W·F matches the dense reference") {
     val f = Dense.random(n, 3, seed = 5)
     val got = LocalGraphs.toDense(
-      GraphOps.multiply(g.edges, LocalGraphs.longFormat(spark, f)), n, 3)
+      GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f)), n, 3)
     assert(got.approxEquals(w * f, 1e-9))
   }
 
   test("multiply W·X matches the DuckDB oracle") {
-    val x = GraphOps.oneHot(labelsDf)
+    val x = GraphOps.oneHot(labelsDf, 3)
+    val perClass = (0 until 3).map(j =>
+      s"CAST(SUM(CASE WHEN x.cls = '$j' THEN 1 ELSE 0 END) AS DOUBLE) AS v$j").mkString(", ")
     Oracle.assertEquivalent(
       GraphOps.multiply(g.edges, x),
-      """SELECT e.src AS node, x.cls AS cls, CAST(COUNT(*) AS DOUBLE) AS v
+      s"""SELECT e.src AS node, $perClass
          FROM edges e JOIN labels x ON e.dst = x.node
-         GROUP BY e.src, x.cls""",
+         GROUP BY e.src""",
       "edges" -> g.edges, "labels" -> labelsDf)
+  }
+
+  test("multiply carries each node's own rows along") {
+    val f = Dense.random(n, 3, seed = 14)
+    val own = Dense.random(n, 2, seed = 15)
+    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f),
+      LocalGraphs.wide(spark, own, "o"), g.degrees)
+    assert(LocalGraphs.toDense(hop, n, 3).approxEquals(w * f, 1e-9))
+    assert(LocalGraphs.toDense(rowOf(hop, GraphOps.values(2, "o")), n, 2).approxEquals(own, 0))
+    val degs = hop.select("node", "deg").collect().map(r => r.getLong(0).toInt -> r.getDouble(1)).toMap
+    assert((0 until n).forall(i => degs(i) == w.rowSums(i)))
+  }
+
+  test("one hop scans the fromUndirected edge table with no exchange") {
+    import org.apache.spark.sql.execution.{SparkPlan, joins}
+    import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+    import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+    import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, Dense.random(n, 3, seed = 16)))
+    hop.collect()
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
+      case q: QueryStageExec => nodes(q.plan)
+      case o => o.children.flatMap(nodes)
+    })
+    // The edge scan is reached from an exchange only through the join.
+    def scanBelow(p: SparkPlan): Boolean = p match {
+      case _: InMemoryTableScanExec => true
+      case _: joins.BaseJoinExec => false
+      case a: AdaptiveSparkPlanExec => scanBelow(a.executedPlan)
+      case q: QueryStageExec => scanBelow(q.plan)
+      case o => o.children.exists(scanBelow)
+    }
+    val plan = nodes(hop.queryExecution.executedPlan)
+    val exchanges = plan.collect { case e: ShuffleExchangeExec => e }
+    assert(plan.exists(_.isInstanceOf[InMemoryTableScanExec]), "the hop must read the persisted edges")
+    assert(plan.exists(_.isInstanceOf[joins.BaseJoinExec]))
+    assert(exchanges.nonEmpty && exchanges.forall(e => !scanBelow(e.child)),
+      s"an exchange re-shuffles the edge table:\n${hop.queryExecution.executedPlan}")
   }
 
   test("applyH F·H matches the dense reference") {
     val f = Dense.random(n, 3, seed = 6)
     val h = Dense.random(3, 3, seed = 7)
     val got = LocalGraphs.toDense(
-      GraphOps.applyH(LocalGraphs.longFormat(spark, f), h), n, 3)
+      rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(3), h)), n, 3)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
@@ -74,25 +119,25 @@ class GraphOpsSpec extends SparkSpec {
     val f = Dense.random(n, 2, seed = 8)
     val h = Dense.random(2, 4, seed = 9)
     val got = LocalGraphs.toDense(
-      GraphOps.applyH(LocalGraphs.longFormat(spark, f), h), n, 4)
+      rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(2), h)), n, 4)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
   test("plus, minus and scale match the dense reference") {
     val a = Dense.random(n, 3, seed = 10)
     val b = Dense.random(n, 3, seed = 11)
-    val da = LocalGraphs.longFormat(spark, a)
-    val db = LocalGraphs.longFormat(spark, b)
-    assert(LocalGraphs.toDense(GraphOps.plus(da, db), n, 3).approxEquals(a + b, 1e-9))
-    assert(LocalGraphs.toDense(GraphOps.minus(da, db), n, 3).approxEquals(a - b, 1e-9))
-    assert(LocalGraphs.toDense(GraphOps.scale(da, -2.5), n, 3).approxEquals(a.scale(-2.5), 1e-9))
+    val ab = LocalGraphs.wide(spark, a).join(LocalGraphs.wide(spark, b, "b"), "node")
+    val (va, vb) = (GraphOps.values(3), GraphOps.values(3, "b"))
+    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.plus(va, vb)), n, 3).approxEquals(a + b, 1e-9))
+    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.minus(va, vb)), n, 3).approxEquals(a - b, 1e-9))
+    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.scale(va, lit(-2.5))), n, 3).approxEquals(a.scale(-2.5), 1e-9))
   }
 
   test("diagScale computes (D − c·I)·F") {
     val f = Dense.random(n, 3, seed = 12)
-    val df = LocalGraphs.longFormat(spark, f)
+    val df = LocalGraphs.wide(spark, f).join(g.degrees, "node")
     for (c <- Seq(0.0, 1.0)) {
-      val got = LocalGraphs.toDense(GraphOps.diagScale(df, g.degrees, c), n, 3)
+      val got = LocalGraphs.toDense(rowOf(df, GraphOps.diagScale(GraphOps.values(3), col("deg"), c)), n, 3)
       val expected = (DenseRef.degreeMatrix(w) - Dense.eye(n).scale(c)) * f
       assert(got.approxEquals(expected, 1e-9), s"c=$c")
     }
@@ -101,7 +146,7 @@ class GraphOpsSpec extends SparkSpec {
   test("oneHot and centeredOneHot match the dense reference") {
     val partial = labelMap.filter(_._1 < 10)
     val ldf = LocalGraphs.labels(spark, partial)
-    assert(LocalGraphs.toDense(GraphOps.oneHot(ldf), n, 3)
+    assert(LocalGraphs.toDense(GraphOps.oneHot(ldf, 3), n, 3)
       .approxEquals(DenseRef.oneHot(n, 3, partial), 1e-12))
     assert(LocalGraphs.toDense(GraphOps.centeredOneHot(ldf, 3), n, 3)
       .approxEquals(DenseRef.centeredOneHot(n, 3, partial), 1e-12))
@@ -110,13 +155,13 @@ class GraphOpsSpec extends SparkSpec {
   test("collapse computes XᵀN against the dense reference") {
     val nMat = Dense.random(n, 3, seed = 13)
     val x = DenseRef.oneHot(n, 3, labelMap)
-    val got = GraphOps.collapse(labelsDf, LocalGraphs.longFormat(spark, nMat), 3)
+    val got = GraphOps.collapse(labelsDf, LocalGraphs.wide(spark, nMat), 3)
     assert(got.approxEquals(x.t * nMat, 1e-9))
   }
 
   test("M⁽¹⁾ = XᵀWX matches the DuckDB oracle") {
     import spark.implicits._
-    val x = GraphOps.oneHot(labelsDf)
+    val x = GraphOps.oneHot(labelsDf, 3)
     val m1 = GraphOps.collapse(labelsDf, GraphOps.multiply(g.edges, x), 3)
     val asDf = (for { c <- 0 until 3; d <- 0 until 3 } yield (c, d, m1(c, d))).toDF("c", "d", "v")
     Oracle.assertEquivalent(
@@ -132,10 +177,10 @@ class GraphOpsSpec extends SparkSpec {
   test("argmaxLabels picks the max belief with ties to the smaller class") {
     import spark.implicits._
     val f = Seq(
-      (0L, 0, 0.2), (0L, 1, 0.9), (0L, 2, 0.1),  // clear winner: 1
-      (1L, 0, 0.5), (1L, 1, 0.5),                // tie: 0
-      (2L, 2, -0.1), (2L, 0, -0.5)               // negative beliefs: 2
-    ).toDF("node", "cls", "v")
+      (0L, 0.2, 0.9, 0.1),   // clear winner: 1
+      (1L, 0.5, 0.5, 0.0),   // tie: 0
+      (2L, -0.5, -0.3, -0.1) // negative beliefs: 2
+    ).toDF("node", "v0", "v1", "v2")
     val got = GraphOps.argmaxLabels(f).as[(Long, Int)].collect().toMap
     assert(got == Map(0L -> 1, 1L -> 0, 2L -> 2))
   }
@@ -144,6 +189,21 @@ class GraphOpsSpec extends SparkSpec {
     val expected = w.spectralRadius()
     val got = GraphOps.spectralRadius(g, iters = 40)
     assert(math.abs(got - expected) / expected < 0.01, s"got $got expected $expected")
+  }
+
+  test("spectral radius of a graph without edges is 0") {
+    import spark.implicits._
+    val empty = GraphOps.fromUndirected(spark, 3, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    assert(GraphOps.spectralRadius(empty) == 0.0)
+  }
+
+  test("a class id outside [0,k) fails the query") {
+    val bad = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 3))
+    val e = intercept[Exception](GraphOps.oneHot(bad, 3).collect())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains("class id outside [0,3): 3")), e.toString)
+    assert(intercept[IllegalArgumentException](GraphOps.collapse(bad, GraphOps.multiply(g.edges,
+      LocalGraphs.wide(spark, Dense.random(n, 3, seed = 17))), 3)).getMessage.contains("outside [0,3)"))
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {
@@ -157,8 +217,8 @@ class GraphOpsSpec extends SparkSpec {
     }
   }
 
-  test("longFormat/collectDense round-trips") {
+  test("wide/collectDense round-trips") {
     val f = Dense.random(7, 4, seed = 21)
-    assert(LocalGraphs.toDense(LocalGraphs.longFormat(spark, f), 7, 4).approxEquals(f, 0))
+    assert(LocalGraphs.toDense(LocalGraphs.wide(spark, f), 7, 4).approxEquals(f, 0))
   }
 }

@@ -62,6 +62,20 @@ class LinBPSpec extends SparkSpec {
     assert(DenseRef.argmaxRows(f1).toSeq == DenseRef.argmaxRows(f2).toSeq)
   }
 
+  test("run rejects a seed class id outside [0,k)") {
+    val bad = LocalGraphs.labels(spark, labelMap + (3 -> -1))
+    val e = intercept[Exception](LinBP.run(g, bad, h, iterations = 1, rhoW = Some(1.0)).collect())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains(s"class id outside [0,$k): -1")), e.toString)
+  }
+
+  test("run fails clearly on a graph without edges (ρ(W) = 0)") {
+    import spark.implicits._
+    val empty = GraphOps.fromUndirected(spark, n, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    val e = intercept[IllegalArgumentException](LinBP.run(empty, labelsDf, h))
+    assert(e.getMessage.contains("ρ(W) = 0"), e.getMessage)
+  }
+
   test("uniform H produces no propagation (F = X̃)") {
     val got = LocalGraphs.toDense(
       LinBP.run(g, labelsDf, CompatibilityMatrix.uniform(k)), n, k)

@@ -46,6 +46,14 @@ class GradientDescentSpec extends AnyFunSuite {
     assert(r.iters == 7 && !r.converged)
   }
 
+  test("a failed line search is not reported as converged") {
+    // |x| at its kink, with the one-sided gradient 1: every step along −1
+    // increases f, so no step passes Armijo.
+    def fg(x: Array[Double]) = (math.abs(x(0)), Array(1.0))
+    val r = GradientDescent.minimize(fg, Array(0.0))
+    assert(!r.converged && r.iters == 0 && r.gradNorm == 1.0)
+  }
+
   test("monotone: final value never exceeds the initial value") {
     for (seed <- 1 to 10) {
       val rnd = new scala.util.Random(seed)

@@ -36,6 +36,20 @@ class SketchSpec extends SparkSpec {
     }
   }
 
+  test("M_NB⁽¹⁻⁵⁾ and M⁽¹⁻²⁾ equal the dense reference exactly") {
+    for (l <- 1 to 5)
+      assert(sketches.mNB(l - 1).approxEquals(DenseRef.collapse(xDense, DenseRef.nbPower(w, l)), 0), s"NB l=$l")
+    for (l <- 1 to 2)
+      assert(sketches.mFull(l - 1).approxEquals(DenseRef.collapse(xDense, w.pow(l)), 0), s"full l=$l")
+  }
+
+  test("compute rejects a seed class id outside [0,k)") {
+    val bad = LocalGraphs.labels(spark, labelMap + (3 -> k))
+    val e = intercept[Exception](Sketch.compute(g, bad, k, lmax = 2))
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .exists(t => String.valueOf(t.getMessage).contains(s"class id outside [0,$k)")), e.toString)
+  }
+
   test("M⁽¹⁾ and M_NB⁽¹⁾ coincide (W_NB⁽¹⁾ = W)") {
     assert(sketches.mFull(0).approxEquals(sketches.mNB(0), 1e-9))
   }

@@ -49,7 +49,7 @@ class PlantedGraphSpec extends SparkSpec {
 
   test("block edge budgets follow alpha-weighted H (checked via class-pair counts)") {
     val m1 = GraphOps.collapse(
-      gen.labels, GraphOps.multiply(gen.graph.edges, GraphOps.oneHot(gen.labels)), 3)
+      gen.labels, GraphOps.multiply(gen.graph.edges, GraphOps.oneHot(gen.labels, 3)), 3)
     // With balanced alpha, edge-endpoint mass between (c,d) ∝ H_cd.
     val p = m1.rowNormalized
     for (c <- 0 until 3; d <- 0 until 3) {

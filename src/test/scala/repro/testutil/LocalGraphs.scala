@@ -1,6 +1,7 @@
 package repro.testutil
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
 import repro.core.{GraphOps, SparseGraph}
 import repro.linalg.Dense
 
@@ -20,18 +21,15 @@ object LocalGraphs {
     m.toSeq.map { case (node, cls) => (node.toLong, cls) }.toDF("node", "cls")
   }
 
-  /** Long-format (node, cls, v) DataFrame from a dense n×k matrix,
-    * omitting exact zeros (the long layout's convention).
+  /** Wide (node, prefix0, …, prefix{k−1}) DataFrame from a dense n×k
+    * matrix, one row per node.
     */
-  def longFormat(spark: SparkSession, m: Dense): DataFrame = {
+  def wide(spark: SparkSession, m: Dense, prefix: String = "v"): DataFrame = {
     import spark.implicits._
-    (for {
-      i <- 0 until m.rows
-      j <- 0 until m.cols
-      if m(i, j) != 0.0
-    } yield (i.toLong, j, m(i, j))).toDF("node", "cls", "v")
+    (0 until m.rows).map(i => (i.toLong, (0 until m.cols).map(m(i, _)))).toDF("node", "row")
+      .select(col("node") +: (0 until m.cols).map(j => col("row")(j).as(s"$prefix$j")): _*)
   }
 
-  /** Collect a long-format DataFrame back to dense for comparison. */
+  /** Collect a wide DataFrame back to dense for comparison. */
   def toDense(df: DataFrame, n: Int, k: Int): Dense = GraphOps.collectDense(df, n, k)
 }
