@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.eval.Accuracy
 import repro.linalg.Dense
 
 /** Compatibility estimation methods of Section 4.
@@ -149,6 +150,11 @@ object Estimators {
     * each energy evaluation runs LinBP from Seedᵢ and scores accuracy on
     * Holdoutᵢ for b random 50/50 splits of the available labels:
     * E(H) = −Σᵢ Acc_{Qᵢ}(H).
+    *
+    * Nelder–Mead hands over its independent points as one batch (the
+    * initial simplex, a shrink), and each split labels and scores a whole
+    * batch with one batched LinBP run and one query
+    * ([[repro.eval.Accuracy.labelAndScore]]).
     */
   def holdout(
       g: SparseGraph,
@@ -156,34 +162,25 @@ object Estimators {
       k: Int,
       b: Int = 1,
       maxEvals: Int = 40,
-      iterations: Int = 10,
-      s: Double = 0.5,
+      iterations: Int = LinBP.DefaultIterations,
+      s: Double = LinBP.DefaultS,
       seed: Long = 0,
       rhoW: Option[Double] = None): EstimationResult = {
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g)))
     val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
-      val tagged = GraphOps.materialize(
-        seedLabels.withColumn("__r", rand(seed + i) < 0.5))
-      val seedPart = GraphOps.materialize(tagged.where(col("__r")).drop("__r"))
-      val holdPart = GraphOps.materialize(tagged.where(!col("__r")).drop("__r"))
-      (seedPart, holdPart)
+      val tagged = GraphOps.materialize(seedLabels.withColumn("__r", rand(seed + i) < 0.5))
+      (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     }
-    def energy(hFree: Array[Double]): Double = {
-      val h = CompatibilityMatrix.fromFree(hFree, k)
-      -splits.map { case (seedPart, holdPart) =>
-        val f = LinBP.run(g, seedPart, h, iterations, s, rhoW = Some(rho))
-        val preds = GraphOps.argmaxLabels(f)
-        val joined = holdPart
-          .withColumnRenamed("cls", "truth")
-          .join(preds.withColumnRenamed("node", "__n"), col("node") === col("__n"), "left")
-        val r = joined
-          .agg(avg((coalesce(col("cls"), lit(0)) === col("truth")).cast("double")))
-          .first()
-        if (r.isNullAt(0)) 0.0 else r.getDouble(0)
-      }.sum
+    def energies(batch: Seq[Array[Double]]): Seq[Double] = {
+      val hs = batch.map(CompatibilityMatrix.fromFree(_, k))
+      splits
+        .map { case (seedPart, holdPart) =>
+          Accuracy.labelAndScore(g, seedPart, holdPart, hs, iterations, s, Some(rho))
+        }
+        .transpose.map(-_.sum)
     }
     val x0 = CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k))
-    val r = NelderMead.minimize(energy, x0, initialStep = 1.0 / (2 * k), maxEvals = maxEvals)
+    val r = NelderMead.minimizeBatch(energies, x0, initialStep = 1.0 / (2 * k), maxEvals = maxEvals)
     EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.evals)
   }
 }

@@ -146,15 +146,17 @@ object GraphOps {
     classMatrix(k, rows.map(r => r.getInt(0) -> Array.tabulate(k)(j => r.getDouble(j + 1))).toSeq)
   }
 
-  /** argmax over classes: (node, cls) with the highest belief; ties break
-    * toward the smallest class id so results are deterministic.
+  /** The index of a row's largest column; ties break toward the smallest
+    * index so results are deterministic. Null on an all-null row.
     */
-  def argmaxLabels(f: DataFrame): DataFrame = {
-    val v = values(f.columns.count(_.matches("v\\d+")))
-    val top = greatest(v: _*)
-    val cls = v.indices.tail.foldLeft(when(v.head === top, 0)) { (acc, j) => acc.when(v(j) === top, j) }
-    f.select(col("node"), cls.as("cls"))
+  def argmax(row: Seq[Column]): Column = {
+    val top = greatest(row: _*)
+    row.indices.tail.foldLeft(when(row.head === top, 0)) { (acc, j) => acc.when(row(j) === top, j) }
   }
+
+  /** argmax over classes: (node, cls) with the highest belief. */
+  def argmaxLabels(f: DataFrame): DataFrame =
+    f.select(col("node"), argmax(values(f.columns.count(_.matches("v\\d+")))).as("cls"))
 
   /** Spectral radius ρ(W) by distributed power iteration (symmetric W);
     * 0.0 for a graph without edges.
@@ -217,10 +219,16 @@ object GraphOps {
     * per edge partition, and adaptive execution cannot coalesce a side it
     * does not shuffle. Deduplication clusters on (src, dst), which the dst
     * partitioning already satisfies. The input is checkpointed first, so no
-    * later plan over the edges carries the input's own plan along.
+    * later plan over the edges carries the input's own plan along; a node
+    * id outside [0, n) fails that checkpoint.
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
-    val e = undirected.select(col("src").cast("long"), col("dst").cast("long"))
+    def checkedNode(c: String): Column = {
+      val id = col(c).cast("long")
+      when(id.between(0L, n - 1), id).otherwise(raise_error(
+        concat(lit(s"node id outside [0,$n): "), coalesce(id.cast("string"), lit("null"))))).as(c)
+    }
+    val e = undirected.select(checkedNode("src"), checkedNode("dst"))
       .where(col("src") =!= col("dst"))
     val both = materialize(e.unionByName(e.select(col("dst").as("src"), col("src").as("dst"))))
     val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)

@@ -15,12 +15,13 @@ import repro.linalg.Dense
   */
 object LinBP {
 
+  val DefaultIterations = 10 // §5.3
+  val DefaultS = 0.5
+
   /** Run LinBP and return the final belief matrix F in the wide
-    * (node, v0, …, v{k−1}) layout.
-    *
-    * Each iteration is one hop of [[GraphOps.multiply]] that carries the
-    * node's own row of X along, with `X + ε·(W·F)·H̃` as column arithmetic
-    * on the summed row.
+    * (node, v0, …, v{k−1}) layout: [[runMany]] with the one H, its block
+    * projected back to v0… A uniform H carries no signal, so F = X̃ and no
+    * hop runs.
     *
     * @param g          the graph (symmetric adjacency)
     * @param seedLabels (node, cls) seed labels; a class id outside [0, k)
@@ -37,24 +38,59 @@ object LinBP {
       g: SparseGraph,
       seedLabels: DataFrame,
       h: Dense,
-      iterations: Int = 10,
-      s: Double = 0.5,
+      iterations: Int = DefaultIterations,
+      s: Double = DefaultS,
+      rhoW: Option[Double] = None,
+      center: Boolean = true): DataFrame = {
+    import GraphOps.{named, values}
+    runMany(g, seedLabels, Seq(h), iterations, s, rhoW, center)
+      .select(col("node") +: named(values(h.rows, block(0))): _*)
+  }
+
+  /** Column prefix of block i in the state of [[runMany]]: b{i}v0… */
+  def block(i: Int): String = s"b${i}v"
+
+  /** LinBP under every H of ``hs`` at once, from the same seeds: one wide
+    * state (node, b0v0, …, b0v{k−1}, b1v0, …) whose block i is the F under
+    * ``hs(i)`` (columns [[block]](i)).
+    *
+    * Each iteration is one hop of [[GraphOps.multiply]] for all blocks,
+    * carrying the node's own row of X̃ once; block i's `X̃ + ε_i·(W·F_i)·H̃_i`,
+    * with ε_i = s/(ρ(W)·ρ(H̃_i)), is column arithmetic on the summed row. A
+    * uniform H carries no signal: its block gets a zero effective H and
+    * stays X̃, which labels like F = X̃. When no block carries signal, no hop
+    * runs and ρ(W) is not needed.
+    *
+    * Parameters as for [[run]]; every H must be k×k for one k.
+    */
+  def runMany(
+      g: SparseGraph,
+      seedLabels: DataFrame,
+      hs: Seq[Dense],
+      iterations: Int = DefaultIterations,
+      s: Double = DefaultS,
       rhoW: Option[Double] = None,
       center: Boolean = true): DataFrame = {
     import GraphOps.{applyH, named, plus, values}
-    val k = h.rows
-    val hTilde = CompatibilityMatrix.centered(h)
-    val rhoH = hTilde.spectralRadius()
+    require(hs.nonEmpty, "runMany needs at least one H")
+    val k = hs.head.rows
+    require(hs.forall(h => h.rows == k && h.cols == k), s"every H must be $k×$k")
+    lazy val rho = nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g)))
+    val hEffs = hs.map { h =>
+      val hTilde = CompatibilityMatrix.centered(h)
+      val rhoH = hTilde.spectralRadius()
+      if (rhoH < 1e-12) Dense.zeros(k, k) else (if (center) hTilde else h).scale(s / (rho * rhoH))
+    }
     val x = if (center) GraphOps.centeredOneHot(seedLabels, k) else GraphOps.oneHot(seedLabels, k)
-    if (rhoH < 1e-12) return x // uniform H carries no signal: F = X
-    val eps = s / (nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g))) * rhoH)
-    val hEff = (if (center) hTilde else h).scale(eps)
+    var f = x.select(col("node") +: hs.indices.flatMap(i => named(values(k), block(i))): _*)
+    if (hEffs.forall(_.maxAbs == 0.0)) return f
     val own = x.select(col("node") +: named(values(k), "x"): _*)
     val xRow = values(k, "x").map(coalesce(_, lit(0.0))) // null: not a seed
-    var f = x
+    val next = hEffs.zipWithIndex.flatMap { case (hEff, i) =>
+      named(plus(xRow, applyH(values(k, block(i)), hEff)), block(i))
+    }
     for (_ <- 1 to iterations) {
-      f = GraphOps.materialize(GraphOps.multiply(g.edges, f, own)
-        .select(col("node") +: named(plus(xRow, applyH(values(k), hEff))): _*))
+      f = GraphOps.materialize(GraphOps.multiply(g.edges, f, own).select(col("node") +: next: _*))
     }
     f
   }

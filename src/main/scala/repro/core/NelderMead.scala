@@ -7,27 +7,54 @@ package repro.core
   * same. Standard coefficients: reflect 1, expand 2, contract 0.5,
   * shrink 0.5. The eval budget is the knob that matters — every
   * evaluation runs label propagation over the whole graph, which is
-  * exactly why Holdout is orders of magnitude slower than DCE.
+  * exactly why Holdout is orders of magnitude slower than DCE. Holdout
+  * evaluates each batch of independent points ([[minimizeBatch]]) with one
+  * batched propagation; each point still counts toward the budget.
   */
 object NelderMead {
 
   final case class Result(x: Array[Double], value: Double, evals: Int)
 
+  /** [[minimizeBatch]] over a scalar objective, one point at a time. */
   def minimize(
       f: Array[Double] => Double,
+      x0: Array[Double],
+      initialStep: Double = 0.1,
+      maxEvals: Int = 200,
+      tol: Double = 1e-6): Result =
+    minimizeBatch(_.map(f), x0, initialStep, maxEvals, tol)
+
+  /** Minimize an objective that evaluates a batch of points per call.
+    *
+    * Points that do not depend on each other's values go in one batch: the
+    * initial simplex (d+1 points) and each shrink (d points). Reflection,
+    * expansion and contraction are batches of one. Every point of a batch
+    * counts as one evaluation toward ``maxEvals``, which is checked between
+    * simplex operations, so an operation once started is finished.
+    *
+    * @param fs objective over a batch of points, one value per point, in order
+    */
+  def minimizeBatch(
+      fs: Seq[Array[Double]] => Seq[Double],
       x0: Array[Double],
       initialStep: Double = 0.1,
       maxEvals: Int = 200,
       tol: Double = 1e-6): Result = {
     val d = x0.length
     var evals = 0
-    def eval(x: Array[Double]): Double = { evals += 1; f(x) }
+    def evalAll(xs: Seq[Array[Double]]): Seq[(Array[Double], Double)] = {
+      val vs = fs(xs)
+      require(vs.length == xs.length, s"objective returned ${vs.length} values for ${xs.length} points")
+      evals += xs.length
+      xs.zip(vs)
+    }
+    def eval(x: Array[Double]): Double = evalAll(Seq(x)).head._2
 
     // Initial simplex: x0 plus a perturbation along each axis.
     var simplex: Array[(Array[Double], Double)] =
-      (x0 +: Array.tabulate(d) { i =>
+      evalAll(x0 +: Seq.tabulate(d) { i =>
         val p = x0.clone(); p(i) += initialStep; p
-      }).map(p => (p, eval(p)))
+      }).toArray
 
     def sorted(): Unit = simplex = simplex.sortBy(_._2)
 
@@ -54,12 +81,9 @@ object NelderMead {
           simplex(simplex.length - 1) = (cont, fCont)
         } else {
           // Shrink toward the best vertex.
-          simplex = simplex.zipWithIndex.map {
-            case (v, 0) => v
-            case ((p, _), _) =>
-              val s = Array.tabulate(d)(i => best._1(i) + 0.5 * (p(i) - best._1(i)))
-              (s, eval(s))
-          }
+          simplex = best +: evalAll(simplex.toSeq.tail.map { case (p, _) =>
+            Array.tabulate(d)(i => best._1(i) + 0.5 * (p(i) - best._1(i)))
+          }).toArray
         }
       }
       sorted()

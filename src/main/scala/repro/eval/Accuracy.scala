@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, LinBP, SparseGraph}
@@ -42,16 +42,26 @@ object Accuracy {
     * Nodes that never received any belief default to class 0, matching
     * an argmax over an all-zero row.
     */
-  def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double = {
-    val evalNodes = truth
-      .withColumnRenamed("cls", "truth")
-      .join(seeds.select("node").withColumnRenamed("node", "__s"),
-            col("node") === col("__s"), "left_anti")
+  def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double =
+    scores(nonSeeds(truth, seeds), predictions, Seq(col("cls"))).head
+
+  /** The (node, cls) rows of ``truth`` whose node is not a seed. */
+  private def nonSeeds(truth: DataFrame, seeds: DataFrame): DataFrame =
+    truth.join(seeds.select("node").withColumnRenamed("node", "__s"), col("node") === col("__s"), "left_anti")
+
+  /** For every prediction column, evaluated over ``predictions`` left-joined
+    * on node, the fraction of the (node, cls) rows of ``evalNodes`` that
+    * get their true class. One query; a node without a prediction counts
+    * as class 0.
+    */
+  private def scores(evalNodes: DataFrame, predictions: DataFrame, predicted: Seq[Column]): Seq[Double] = {
+    val hits = predicted.map(p => avg((coalesce(p, lit(0)) === col("truth")).cast("double")))
     val r = evalNodes
+      .withColumnRenamed("cls", "truth")
       .join(predictions.withColumnRenamed("node", "__n"), col("node") === col("__n"), "left")
-      .agg(avg((coalesce(col("cls"), lit(0)) === col("truth")).cast("double")))
+      .agg(hits.head, hits.tail: _*)
       .first()
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
+    predicted.indices.map(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i))
   }
 
   /** Label with LinBP under compatibility matrix h, then score against
@@ -62,11 +72,38 @@ object Accuracy {
       truth: DataFrame,
       seeds: DataFrame,
       h: Dense,
-      iterations: Int = 10,
-      s: Double = 0.5,
-      rhoW: Option[Double] = None): Double = {
-    val f = LinBP.run(g, seeds, h, iterations, s, rhoW)
-    accuracyOf(GraphOps.argmaxLabels(f), truth, seeds)
+      iterations: Int = LinBP.DefaultIterations,
+      s: Double = LinBP.DefaultS,
+      rhoW: Option[Double] = None): Double =
+    endToEnd(g, truth, seeds, Seq(h), iterations, s, rhoW).head
+
+  /** [[endToEnd]] under every H of ``hs``: one batched LinBP run
+    * ([[LinBP.runMany]]) and one scoring query, one accuracy per H.
+    */
+  def endToEnd(
+      g: SparseGraph,
+      truth: DataFrame,
+      seeds: DataFrame,
+      hs: Seq[Dense],
+      iterations: Int,
+      s: Double,
+      rhoW: Option[Double]): Seq[Double] =
+    labelAndScore(g, seeds, nonSeeds(truth, seeds), hs, iterations, s, rhoW)
+
+  /** LinBP from ``seeds`` under every H of ``hs`` in one batched run, each
+    * block scored on the (node, cls) rows of ``evalNodes`` in one query.
+    */
+  def labelAndScore(
+      g: SparseGraph,
+      seeds: DataFrame,
+      evalNodes: DataFrame,
+      hs: Seq[Dense],
+      iterations: Int,
+      s: Double,
+      rhoW: Option[Double]): Seq[Double] = {
+    val k = hs.head.rows
+    val f = LinBP.runMany(g, seeds, hs, iterations, s, rhoW)
+    scores(evalNodes, f, hs.indices.map(i => GraphOps.argmax(GraphOps.values(k, LinBP.block(i)))))
   }
 
   /** Score an arbitrary belief matrix (for the homophily baselines). */

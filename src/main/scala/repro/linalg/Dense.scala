@@ -192,17 +192,4 @@ object Dense {
     while (i < n) { d(i * n + i) = v(i); i += 1 }
     new Dense(n, n, d)
   }
-
-  /** Single-entry matrix J^{ij} (used by the structure matrices of Prop. 4.7). */
-  def singleEntry(n: Int, i: Int, j: Int): Dense = {
-    val d = new Array[Double](n * n)
-    d(i * n + j) = 1.0
-    new Dense(n, n, d)
-  }
-
-  /** Deterministic random matrix, for tests and restart seeds. */
-  def random(rows: Int, cols: Int, seed: Long): Dense = {
-    val rnd = new scala.util.Random(seed)
-    new Dense(rows, cols, Array.fill(rows * cols)(rnd.nextDouble()))
-  }
 }

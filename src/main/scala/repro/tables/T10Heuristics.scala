@@ -36,11 +36,9 @@ object T10Heuristics {
       val sk = Sketch.compute(gen.graph, seeds, spec.k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 2)
       val heur = Heuristics.twoValue(gs)
-      Row(spec.name, f,
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho)),
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, dcer.h, rhoW = Some(rho)),
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, heur, rhoW = Some(rho)),
-        1.0 / spec.k)
+      val Seq(accGS, accDcer, accHeur) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, heur),
+        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      Row(spec.name, f, accGS, accDcer, accHeur, 1.0 / spec.k)
     }
   }
 

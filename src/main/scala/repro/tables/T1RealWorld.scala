@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Estimators, GraphOps, Sketch}
+import repro.core.{Estimators, GraphOps, LinBP, Sketch}
 import repro.eval.{Accuracy, RealWorld}
 
 /** T1 — Fig. 8 (dataset statistics + DCEr runtime) and T12 — Fig. 14
@@ -43,12 +43,11 @@ object T1RealWorld {
       val (dcer, tOpt) = TableUtil.timed(
         Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)
-      val (accGS, accEst) =
-        if (withAccuracy) {
-          val rho = GraphOps.spectralRadius(gen.graph)
-          (Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho)),
-           Accuracy.endToEnd(gen.graph, gen.labels, seeds, dcer.h, rhoW = Some(rho)))
-        } else (Double.NaN, Double.NaN)
+      val Seq(accGS, accEst) =
+        if (withAccuracy)
+          Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h),
+            LinBP.DefaultIterations, LinBP.DefaultS, Some(GraphOps.spectralRadius(gen.graph)))
+        else Seq(Double.NaN, Double.NaN)
       Row(spec.name, spec.n, m, 2.0 * m / spec.n, spec.k,
         tSketch, tOpt, dcer.h.frobDist(gs), mce.h.frobDist(gs), accGS, accEst)
     }

@@ -49,16 +49,14 @@ object T3AccuracyVsF {
       val dce = Estimators.dce(sk)
       val mce = Estimators.mce(sk)
       val lce = Estimators.lce(sk)
-      def acc(hm: repro.linalg.Dense): Double =
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, hm, rhoW = Some(rho))
-      val accHold =
-        if (holdoutFs.contains(f)) {
-          val hold = Estimators.holdout(gen.graph, seeds, k, b = 1,
-            maxEvals = holdoutEvals, rhoW = Some(rho), seed = seed)
-          acc(hold.h)
-        } else Double.NaN
-      Row(f, seeds.count(), acc(gs), acc(dcer.h), acc(dce.h), acc(mce.h), acc(lce.h),
-        accHold, dcer.h.frobDist(gs), mce.h.frobDist(gs))
+      val hold =
+        if (holdoutFs.contains(f))
+          Seq(Estimators.holdout(gen.graph, seeds, k, b = 1, maxEvals = holdoutEvals, rhoW = Some(rho), seed = seed).h)
+        else Nil
+      val accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, dce.h, mce.h, lce.h) ++ hold,
+        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      Row(f, seeds.count(), accs(0), accs(1), accs(2), accs(3), accs(4),
+        accs.lift(5).getOrElse(Double.NaN), dcer.h.frobDist(gs), mce.h.frobDist(gs))
     }
   }
 

@@ -38,10 +38,10 @@ object T6Restarts {
     val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val global = Estimators.dce(sk, init = Some(CompatibilityMatrix.toFree(gs)))
-    val accGlobal = Accuracy.endToEnd(gen.graph, gen.labels, seeds, global.h, rhoW = Some(rho))
-    rs.map { r =>
-      val est = Estimators.dcer(sk, restarts = r, seed = seed + 5)
-      val acc = Accuracy.endToEnd(gen.graph, gen.labels, seeds, est.h, rhoW = Some(rho))
+    val ests = rs.map(r => Estimators.dcer(sk, restarts = r, seed = seed + 5))
+    val accGlobal +: accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, global.h +: ests.map(_.h),
+      LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+    rs.lazyZip(ests).lazyZip(accs).map { (r, est, acc) =>
       Row(r, est.energy, acc, est.h.frobDist(gs), global.energy, accGlobal)
     }
   }

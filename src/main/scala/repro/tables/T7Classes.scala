@@ -43,9 +43,8 @@ object T7Classes {
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
       val (dcer, tOpt) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)
-      val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho))
-      val accDcer = Accuracy.endToEnd(gen.graph, gen.labels, seeds, dcer.h, rhoW = Some(rho))
-      val accMce = Accuracy.endToEnd(gen.graph, gen.labels, seeds, mce.h, rhoW = Some(rho))
+      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h),
+        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
       val accHarm = Accuracy.scoreBeliefs(
         Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
       Row(k, accGS, accDcer, accMce, accHarm, 1.0 / k, tSketch, tOpt)

@@ -47,9 +47,8 @@ object T8Imbalance {
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
       val mce = Estimators.mce(sk)
-      val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho))
-      val accDcer = Accuracy.endToEnd(gen.graph, gen.labels, seeds, dcer.h, rhoW = Some(rho))
-      val accMce = Accuracy.endToEnd(gen.graph, gen.labels, seeds, mce.h, rhoW = Some(rho))
+      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h),
+        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
       val accHarm = Accuracy.scoreBeliefs(
         Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
       Row(f, accGS, accDcer, accMce, accHarm, PaperAlpha.max, dcer.h.frobDist(gs))

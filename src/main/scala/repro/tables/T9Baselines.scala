@@ -36,9 +36,9 @@ object T9Baselines {
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
-      Row(f,
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho)),
-        Accuracy.endToEnd(gen.graph, gen.labels, seeds, dcer.h, rhoW = Some(rho)),
+      val Seq(accGS, accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h),
+        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      Row(f, accGS, accDcer,
         Accuracy.scoreBeliefs(Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds),
         Accuracy.scoreBeliefs(Baselines.multiRankWalk(gen.graph, seeds, k), gen.labels, seeds),
         1.0 / k)

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.Dense
+import repro.testutil.DenseRef
 
 class CompatibilityMatrixSpec extends AnyFunSuite {
   import CompatibilityMatrix._
@@ -88,7 +89,7 @@ class CompatibilityMatrixSpec extends AnyFunSuite {
     // Unconstrained gradient of E is 2(H−Z); the structure contraction
     // must equal d/dh of E(fromFree(h)) by central differences.
     for (k <- 2 to 5; seed <- 1 to 3) {
-      val z = Dense.random(k, k, seed + 1000)
+      val z = DenseRef.random(k, k, seed + 1000)
       val h0 = randomFree(k, seed * 7 + k)
       def e(h: Array[Double]): Double = { val d = fromFree(h, k) - z; d.dot(d) }
       val g = contractGradient((fromFree(h0, k) - z).scale(2.0))
@@ -104,7 +105,7 @@ class CompatibilityMatrixSpec extends AnyFunSuite {
 
   test("sinkhorn output is symmetric doubly stochastic") {
     for (seed <- 1 to 5) {
-      val raw = Dense.random(5, 5, seed).map(x => x + 0.05)
+      val raw = DenseRef.random(5, 5, seed).map(x => x + 0.05)
       val s = sinkhorn(raw.zip(raw.t)((a, b) => a + b)) // symmetric input
       assert(isValid(s, 1e-6), s"seed=$seed:\n$s")
     }

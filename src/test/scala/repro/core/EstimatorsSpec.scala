@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.eval.Accuracy
 import repro.graphgen.{DegreeDist, PlantedGraph}
 import repro.linalg.Dense
+import repro.testutil.DenseRef
 
 /** Pure (driver-side) estimator math. */
 class EstimatorMathSpec extends AnyFunSuite {
@@ -31,7 +32,7 @@ class EstimatorMathSpec extends AnyFunSuite {
   test("dceEnergyGrad gradient matches central finite differences") {
     for (k <- Seq(2, 3, 4); seed <- 1 to 3; lmax <- Seq(1, 3, 5)) {
       val rnd = new scala.util.Random(seed * 100 + k)
-      val targets = (1 to lmax).map(_ => Dense.random(k, k, rnd.nextLong()).rowNormalized)
+      val targets = (1 to lmax).map(_ => DenseRef.random(k, k, rnd.nextLong()).rowNormalized)
       val w = Estimators.weights(lmax, 10.0)
       val fg = Estimators.dceEnergyGrad(targets, w) _
       val h0 = Array.fill(CompatibilityMatrix.numFree(k))(
@@ -61,7 +62,7 @@ class EstimatorMathSpec extends AnyFunSuite {
 
   test("MCE equals DCE with lmax=1") {
     val h = CompatibilityMatrix.planted(3, 8.0)
-    val noisy = h.zip(Dense.random(3, 3, 4).scale(0.05))(_ + _)
+    val noisy = h.zip(DenseRef.random(3, 3, 4).scale(0.05))(_ + _)
     val sk = Sketches(3, 2, 100, mFull = Vector(noisy, h.pow(2)), mNB = Vector(noisy, h.pow(2)))
     val mceH = Estimators.mce(sk).h
     val dceH = Estimators.dce(sk, lmax = 1, lambda = 1.0).h
@@ -70,7 +71,7 @@ class EstimatorMathSpec extends AnyFunSuite {
 
   test("MCE result is always a valid compatibility matrix") {
     for (seed <- 1 to 5) {
-      val m = Dense.random(3, 3, seed).map(x => x * 50)
+      val m = DenseRef.random(3, 3, seed).map(x => x * 50)
       val sk = Sketches(3, 1, 10, Vector(m), Vector(m))
       assert(CompatibilityMatrix.isValid(Estimators.mce(sk).h, 1e-6))
     }
@@ -79,7 +80,7 @@ class EstimatorMathSpec extends AnyFunSuite {
   test("DCEr energy is never worse than single-start DCE") {
     for (seed <- 1 to 3) {
       val rnd = new scala.util.Random(seed)
-      val targets = (1 to 3).map(_ => Dense.random(3, 3, rnd.nextLong()).rowNormalized)
+      val targets = (1 to 3).map(_ => DenseRef.random(3, 3, rnd.nextLong()).rowNormalized)
       val sk = Sketches(3, 3, 50, targets, targets)
       val dce = Estimators.dce(sk, lmax = 3)
       val dcer = Estimators.dcer(sk, lmax = 3, restarts = 8, seed = seed)
@@ -170,16 +171,34 @@ class EstimatorsSpec extends SparkSpec {
     assert(a.frobDist(b) == 0.0)
   }
 
+  private lazy val small = PlantedGraph.generate(spark, 400, 2400, balanced, h,
+    DegreeDist.Uniform, seed = 19)
+  private lazy val smallSeeds = Accuracy.sampleSeeds(small.labels, 0.15, seed = 9)
+  private lazy val smallRho = GraphOps.spectralRadius(small.graph)
+
   test("Holdout on a small graph finds an H that labels better than uniform") {
-    val small = PlantedGraph.generate(spark, 400, 2400, balanced, h,
-      DegreeDist.Uniform, seed = 19)
-    val seeds = Accuracy.sampleSeeds(small.labels, 0.15, seed = 9)
-    val rho = GraphOps.spectralRadius(small.graph)
-    val res = Estimators.holdout(small.graph, seeds, k, b = 1, maxEvals = 25,
-      rhoW = Some(rho), seed = 10)
+    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25,
+      rhoW = Some(smallRho), seed = 10)
     assert(res.energy <= 0.0, "holdout energy is a negative accuracy")
-    val acc = Accuracy.endToEnd(small.graph, small.labels, seeds, res.h, rhoW = Some(rho))
+    val acc = Accuracy.endToEnd(small.graph, small.labels, smallSeeds, res.h, rhoW = Some(smallRho))
     assert(acc > 1.0 / k, s"holdout-estimated H should beat random labeling, got $acc")
+  }
+
+  test("batched Holdout matches one LinBP run and one score per evaluated H") {
+    import org.apache.spark.sql.functions.{col, rand}
+    val seed = 10L
+    val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", rand(seed + 1) < 0.5))
+    val (seedPart, holdPart) = (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
+    def energy(hFree: Array[Double]): Double = {
+      val f = LinBP.run(small.graph, seedPart, CompatibilityMatrix.fromFree(hFree, k), rhoW = Some(smallRho))
+      -Accuracy.accuracyOf(GraphOps.argmaxLabels(f), holdPart, seedPart)
+    }
+    val ref = NelderMead.minimize(energy, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)),
+      initialStep = 1.0 / (2 * k), maxEvals = 25)
+    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25,
+      rhoW = Some(smallRho), seed = seed)
+    assert(res.h == CompatibilityMatrix.fromFree(ref.x, k), s"batched:\n${res.h}\nreference:\n${CompatibilityMatrix.fromFree(ref.x, k)}")
+    assert(res.energy == ref.value && res.evals == ref.evals, s"$res vs $ref")
   }
 
   test("Holdout fails clearly on a graph without edges (ρ(W) = 0)") {

@@ -50,7 +50,7 @@ class GraphOpsSpec extends SparkSpec {
     df.select(col("node") +: GraphOps.named(row): _*)
 
   test("multiply W·F matches the dense reference") {
-    val f = Dense.random(n, 3, seed = 5)
+    val f = DenseRef.random(n, 3, seed = 5)
     val got = LocalGraphs.toDense(
       GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f)), n, 3)
     assert(got.approxEquals(w * f, 1e-9))
@@ -69,8 +69,8 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("multiply carries each node's own rows along") {
-    val f = Dense.random(n, 3, seed = 14)
-    val own = Dense.random(n, 2, seed = 15)
+    val f = DenseRef.random(n, 3, seed = 14)
+    val own = DenseRef.random(n, 2, seed = 15)
     val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f),
       LocalGraphs.wide(spark, own, "o"), g.degrees)
     assert(LocalGraphs.toDense(hop, n, 3).approxEquals(w * f, 1e-9))
@@ -84,7 +84,7 @@ class GraphOpsSpec extends SparkSpec {
     import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
     import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
     import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, Dense.random(n, 3, seed = 16)))
+    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, DenseRef.random(n, 3, seed = 16)))
     hop.collect()
     def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
       case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
@@ -108,24 +108,24 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("applyH F·H matches the dense reference") {
-    val f = Dense.random(n, 3, seed = 6)
-    val h = Dense.random(3, 3, seed = 7)
+    val f = DenseRef.random(n, 3, seed = 6)
+    val h = DenseRef.random(3, 3, seed = 7)
     val got = LocalGraphs.toDense(
       rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(3), h)), n, 3)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
   test("applyH supports non-square H (k_in != k_out)") {
-    val f = Dense.random(n, 2, seed = 8)
-    val h = Dense.random(2, 4, seed = 9)
+    val f = DenseRef.random(n, 2, seed = 8)
+    val h = DenseRef.random(2, 4, seed = 9)
     val got = LocalGraphs.toDense(
       rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(2), h)), n, 4)
     assert(got.approxEquals(f * h, 1e-9))
   }
 
   test("plus, minus and scale match the dense reference") {
-    val a = Dense.random(n, 3, seed = 10)
-    val b = Dense.random(n, 3, seed = 11)
+    val a = DenseRef.random(n, 3, seed = 10)
+    val b = DenseRef.random(n, 3, seed = 11)
     val ab = LocalGraphs.wide(spark, a).join(LocalGraphs.wide(spark, b, "b"), "node")
     val (va, vb) = (GraphOps.values(3), GraphOps.values(3, "b"))
     assert(LocalGraphs.toDense(rowOf(ab, GraphOps.plus(va, vb)), n, 3).approxEquals(a + b, 1e-9))
@@ -134,7 +134,7 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("diagScale computes (D − c·I)·F") {
-    val f = Dense.random(n, 3, seed = 12)
+    val f = DenseRef.random(n, 3, seed = 12)
     val df = LocalGraphs.wide(spark, f).join(g.degrees, "node")
     for (c <- Seq(0.0, 1.0)) {
       val got = LocalGraphs.toDense(rowOf(df, GraphOps.diagScale(GraphOps.values(3), col("deg"), c)), n, 3)
@@ -153,7 +153,7 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("collapse computes XᵀN against the dense reference") {
-    val nMat = Dense.random(n, 3, seed = 13)
+    val nMat = DenseRef.random(n, 3, seed = 13)
     val x = DenseRef.oneHot(n, 3, labelMap)
     val got = GraphOps.collapse(labelsDf, LocalGraphs.wide(spark, nMat), 3)
     assert(got.approxEquals(x.t * nMat, 1e-9))
@@ -203,7 +203,16 @@ class GraphOpsSpec extends SparkSpec {
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(t => String.valueOf(t.getMessage).contains("class id outside [0,3): 3")), e.toString)
     assert(intercept[IllegalArgumentException](GraphOps.collapse(bad, GraphOps.multiply(g.edges,
-      LocalGraphs.wide(spark, Dense.random(n, 3, seed = 17))), 3)).getMessage.contains("outside [0,3)"))
+      LocalGraphs.wide(spark, DenseRef.random(n, 3, seed = 17))), 3)).getMessage.contains("outside [0,3)"))
+  }
+
+  test("fromUndirected rejects a node id outside [0,n)") {
+    import spark.implicits._
+    for ((edge, id) <- Seq((1L, 5L) -> "5", (-1L, 2L) -> "-1")) {
+      val e = intercept[Exception](GraphOps.fromUndirected(spark, 5, Seq(edge, (0L, 1L)).toDF("src", "dst")))
+      assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .exists(t => String.valueOf(t.getMessage).contains(s"node id outside [0,5): $id")), e.toString)
+    }
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {
@@ -218,7 +227,7 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("wide/collectDense round-trips") {
-    val f = Dense.random(7, 4, seed = 21)
+    val f = DenseRef.random(7, 4, seed = 21)
     assert(LocalGraphs.toDense(LocalGraphs.wide(spark, f), 7, 4).approxEquals(f, 0))
   }
 }

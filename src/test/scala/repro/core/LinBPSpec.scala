@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.linalg.Dense
 import repro.testutil.{DenseRef, LocalGraphs}
@@ -80,6 +81,32 @@ class LinBPSpec extends SparkSpec {
     val got = LocalGraphs.toDense(
       LinBP.run(g, labelsDf, CompatibilityMatrix.uniform(k)), n, k)
     assert(got.approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
+  }
+
+  test("every block of runMany equals run with that H") {
+    val rho = GraphOps.spectralRadius(g, 40)
+    val hs = Seq(h, CompatibilityMatrix.uniform(k), CompatibilityMatrix.planted(3, 2.0),
+      Dense.fromRows(Seq(Seq(0.2, 0.6, 0.2), Seq(0.6, 0.1, 0.3), Seq(0.2, 0.3, 0.5))))
+    for (center <- Seq(true, false)) {
+      val many = LinBP.runMany(g, labelsDf, hs, iterations = 4, rhoW = Some(rho), center = center)
+      hs.zipWithIndex.foreach { case (hi, i) =>
+        val block = many.select(col("node") +: GraphOps.named(GraphOps.values(k, LinBP.block(i))): _*)
+        val one = LinBP.run(g, labelsDf, hi, iterations = 4, rhoW = Some(rho), center = center)
+        assert(LocalGraphs.toDense(block, n, k).approxEquals(LocalGraphs.toDense(one, n, k), 1e-12),
+          s"block $i, center = $center")
+      }
+    }
+  }
+
+  test("runMany with only uniform H runs no hop and needs no ρ(W)") {
+    import spark.implicits._
+    val empty = GraphOps.fromUndirected(spark, n, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    val u = CompatibilityMatrix.uniform(k)
+    val many = LinBP.runMany(empty, labelsDf, Seq(u, u))
+    for (i <- 0 until 2) {
+      val block = many.select(col("node") +: GraphOps.named(GraphOps.values(k, LinBP.block(i))): _*)
+      assert(LocalGraphs.toDense(block, n, k).approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
+    }
   }
 
   test("Prop 3.2: the LinBP energy decreases toward the fixed point") {

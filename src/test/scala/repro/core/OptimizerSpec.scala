@@ -109,4 +109,31 @@ class NelderMeadSpec extends AnyFunSuite {
     val r = NelderMead.minimize(f, Array(3.0), maxEvals = 60)
     assert(r.evals == calls)
   }
+
+  test("the batch form returns the same point, value and evals as the scalar form") {
+    val objectives: Seq[(Array[Double] => Double, Array[Double], Double, Int)] = Seq(
+      ((x: Array[Double]) => (x(0) - 2) * (x(0) - 2) + (x(1) + 1) * (x(1) + 1), Array(0.0, 0.0), 0.5, 500),
+      ((x: Array[Double]) => math.floor(math.abs(x(0) - 3) * 4) / 4.0, Array(0.0), 1.0, 200),
+      ((x: Array[Double]) => math.abs(x(0) - 1) + math.sin(3 * x(1)) * 0.5 + x(1) * x(1) * 0.1,
+        Array(1.5, -0.5), 0.1, 120),
+      ((x: Array[Double]) => x.map(v => v * v).sum, Array(5.0, 5.0, 5.0), 0.1, 25))
+    for ((f, x0, step, budget) <- objectives) {
+      val a = NelderMead.minimize(f, x0, initialStep = step, maxEvals = budget)
+      val b = NelderMead.minimizeBatch(_.map(f), x0, initialStep = step, maxEvals = budget)
+      assert(a.x.toSeq == b.x.toSeq && a.value == b.value && a.evals == b.evals)
+    }
+  }
+
+  test("the initial simplex arrives as one batch of d+1 points, a shrink as one of d") {
+    // Plateaus make contraction no better than the worst vertex, so the
+    // simplex shrinks.
+    def f(x: Array[Double]) = math.floor(math.abs(x(0) - 3) * 2) + math.floor(math.abs(x(1) + 1) * 2)
+    val sizes = scala.collection.mutable.ArrayBuffer.empty[Int]
+    val r = NelderMead.minimizeBatch(xs => { sizes += xs.length; xs.map(f) }, Array(0.0, 0.0),
+      initialStep = 0.5, maxEvals = 200)
+    assert(sizes.head == 3)
+    assert(sizes.tail.forall(s => s == 1 || s == 2))
+    assert(sizes.tail.contains(2), s"no shrink in $sizes")
+    assert(r.evals == sizes.sum)
+  }
 }

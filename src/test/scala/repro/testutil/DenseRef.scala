@@ -109,4 +109,17 @@ object DenseRef {
     }
     set.toSeq
   }
+
+  /** Single-entry matrix J^{ij}. */
+  def singleEntry(n: Int, i: Int, j: Int): Dense = {
+    val d = new Array[Double](n * n)
+    d(i * n + j) = 1.0
+    new Dense(n, n, d)
+  }
+
+  /** Deterministic random matrix with entries in [0, 1). */
+  def random(rows: Int, cols: Int, seed: Long): Dense = {
+    val rnd = new scala.util.Random(seed)
+    new Dense(rows, cols, Array.fill(rows * cols)(rnd.nextDouble()))
+  }
 }
