@@ -13,7 +13,7 @@ package repro.core
   * out of the valley. Problems are tiny — k* = k(k−1)/2 ≤ ~66 parameters
   * — so dense inverse-Hessian updates are free.
   */
-object GradientDescent {
+object BFGS {
 
   /** @param x         final parameters
     * @param value     final objective value

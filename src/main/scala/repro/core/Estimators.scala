@@ -92,7 +92,7 @@ object Estimators {
       val g = (c * h).scale(2.0) - m1.scale(2.0)
       (e, CompatibilityMatrix.contractGradient(g))
     }
-    val r = GradientDescent.minimize(fg, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)))
+    val r = BFGS.minimize(fg, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)))
     EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.iters)
   }
 
@@ -115,7 +115,7 @@ object Estimators {
     val targets = (1 to lmax).map(l => if (nonBacktracking) sk.pNB(l, variant) else sk.pFull(l, variant))
     val w = weights(lmax, lambda)
     val x0 = init.getOrElse(CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(sk.k)))
-    val r = GradientDescent.minimize(dceEnergyGrad(targets, w), x0)
+    val r = BFGS.minimize(dceEnergyGrad(targets, w), x0)
     EstimationResult(CompatibilityMatrix.fromFree(r.x, sk.k), r.value, r.iters)
   }
 

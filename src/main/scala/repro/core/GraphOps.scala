@@ -71,7 +71,7 @@ object GraphOps {
   }
 
   /** (D − c·I)·F on one row: scale by (degree − c). */
-  def diagScale(r: Seq[Column], deg: Column, c: Double): Seq[Column] = scale(r, deg - lit(c))
+  def diagScale(r: Seq[Column], deg: Column, c: Column): Seq[Column] = scale(r, deg - c)
 
   // --- n×k matrices -------------------------------------------------------
 
@@ -102,10 +102,11 @@ object GraphOps {
     * Each node's own rows of ``own`` ride along in the same aggregation
     * (merged column-wise by max, so frames with different columns combine
     * into one row), which spares a join of the result against the node's
-    * previous state. Nodes with no neighbour in ``f`` sum to zero; nodes
-    * without an own row get nulls. On edges from [[fromUndirected]] the join
-    * exchanges only ``f`` (the hash-join build side), and the group-by only
-    * the partial sums.
+    * previous state. Nodes with no neighbour in ``f`` sum to zero, and the
+    * sums are declared non-null, so a hop's output has the same schema as a
+    * frame built from non-null columns; nodes without an own row get nulls.
+    * On edges from [[fromUndirected]] the join exchanges only ``f`` (the
+    * hash-join build side), and the group-by only the partial sums.
     */
   def multiply(edges: DataFrame, f: DataFrame, own: DataFrame*): DataFrame = {
     val sums = f.columns.toSeq.filter(_ != "node")
@@ -117,7 +118,7 @@ object GraphOps {
       .join(f.withColumnRenamed("node", "__n").hint("shuffle_hash"), col("dst") === col("__n"))
       .select((col("src").as("node") +: sums.map(col)) ++ carry(None): _*)
     val rows = own.map(o => o.select((col("node") +: sums.map(c => lit(0.0).as(c))) ++ carry(Some(o)): _*))
-    val aggs = sums.map(c => sum(c).as(c)) ++ carried.map { case (c, _) => max(c).as(c) }
+    val aggs = sums.map(c => coalesce(sum(c), lit(0.0)).as(c)) ++ carried.map { case (c, _) => max(c).as(c) }
     rows.foldLeft(messages)(_ unionByName _).groupBy("node").agg(aggs.head, aggs.tail: _*)
   }
 
@@ -161,19 +162,24 @@ object GraphOps {
   /** Spectral radius ρ(W) by distributed power iteration (symmetric W);
     * 0.0 for a graph without edges.
     *
-    * The first product W·1 is the degree vector. Each later hop sends
-    * v/‖v‖ with the norm of the previous product as a literal, so
-    * normalizing costs no pass of its own.
+    * The first product W·1 is the degree vector. Every later hop sends
+    * v/‖W·1‖, one constant for the whole call, so each hop of a call (and
+    * of a later call on the same graph) runs the same plan; the estimate
+    * after t products is ‖W·1‖·‖v_t‖/‖v_{t−1}‖ = ‖Wᵗ·1‖/‖Wᵗ⁻¹·1‖, as with
+    * normalizing at every step.
     */
   def spectralRadius(g: SparseGraph, iters: Int = 25): Double = {
     // One job: a plain RDD fold needs no exchange, unlike a global agg.
     def norm(v: DataFrame): Double =
       math.sqrt(v.select(col("v") * col("v")).rdd.map(_.getDouble(0)).fold(0.0)(_ + _))
     var v = g.degrees.withColumnRenamed("deg", "v")
-    var lambda = norm(v)
-    for (_ <- 2 to iters if lambda > 0) {
-      v = materialize(multiply(g.edges, v.select(col("node"), (col("v") / lit(lambda)).as("v"))))
-      lambda = norm(v)
+    val first = norm(v)
+    var (lambda, last) = (first, first)
+    for (_ <- 2 to iters if first > 0) {
+      v = materialize(multiply(g.edges, v.select(col("node"), (col("v") / lit(first)).as("v"))))
+      val next = norm(v)
+      lambda = first * next / last
+      last = next
     }
     lambda
   }
@@ -220,13 +226,15 @@ object GraphOps {
     * does not shuffle. Deduplication clusters on (src, dst), which the dst
     * partitioning already satisfies. The input is checkpointed first, so no
     * later plan over the edges carries the input's own plan along; a node
-    * id outside [0, n) fails that checkpoint.
+    * id outside [0, n) fails that checkpoint. The checked ids are declared
+    * non-null (the check raises before the fallback could apply), so a hop's
+    * output keyed by them has the schema of a frame keyed by seed nodes.
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
     def checkedNode(c: String): Column = {
       val id = col(c).cast("long")
-      when(id.between(0L, n - 1), id).otherwise(raise_error(
-        concat(lit(s"node id outside [0,$n): "), coalesce(id.cast("string"), lit("null"))))).as(c)
+      coalesce(when(id.between(0L, n - 1), id).otherwise(raise_error(
+        concat(lit(s"node id outside [0,$n): "), coalesce(id.cast("string"), lit("null"))))), lit(-1L)).as(c)
     }
     val e = undirected.select(checkedNode("src"), checkedNode("dst"))
       .where(col("src") =!= col("dst"))

@@ -59,7 +59,8 @@ object LinBP {
     * with ε_i = s/(ρ(W)·ρ(H̃_i)), is column arithmetic on the summed row. A
     * uniform H carries no signal: its block gets a zero effective H and
     * stays X̃, which labels like F = X̃. When no block carries signal, no hop
-    * runs and ρ(W) is not needed.
+    * runs and ρ(W) is not needed. The initial state is checkpointed like
+    * every later one, so the first hop runs the plan of all others.
     *
     * Parameters as for [[run]]; every H must be k×k for one k.
     */
@@ -82,8 +83,9 @@ object LinBP {
       if (rhoH < 1e-12) Dense.zeros(k, k) else (if (center) hTilde else h).scale(s / (rho * rhoH))
     }
     val x = if (center) GraphOps.centeredOneHot(seedLabels, k) else GraphOps.oneHot(seedLabels, k)
-    var f = x.select(col("node") +: hs.indices.flatMap(i => named(values(k), block(i))): _*)
-    if (hEffs.forall(_.maxAbs == 0.0)) return f
+    val f0 = x.select(col("node") +: hs.indices.flatMap(i => named(values(k), block(i))): _*)
+    if (hEffs.forall(_.maxAbs == 0.0)) return f0
+    var f = GraphOps.materialize(f0)
     val own = x.select(col("node") +: named(values(k), "x"): _*)
     val xRow = values(k, "x").map(coalesce(_, lit(0.0))) // null: not a seed
     val next = hEffs.zipWithIndex.flatMap { case (hEff, i) =>

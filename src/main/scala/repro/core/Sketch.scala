@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
@@ -62,53 +62,51 @@ object Sketch {
     * (the full-path family feeds the biased estimator P̂⁽ℓ⁾ used as the
     * comparison arm of Thm. 4.1, and ℓ ≤ 2 of it feeds LCE).
     *
-    * The state holds one row per node: (node, deg, lbl, a = N_NB⁽ℓ⁾,
-    * p = N_NB⁽ℓ⁻¹⁾, f = N⁽ℓ⁾), so each ℓ is one hop of [[GraphOps.multiply]]
-    * that carries the node's own deg, lbl and previous rows along; the
-    * full-path family rides the same group-by. Xᵀ·N is a sum by lbl over
-    * the labeled rows of every state, collected once at the end. A seed
-    * class id outside [0, k) fails the first hop.
+    * The state holds one row per node: (node, lbl, l, a = N_NB⁽ℓ⁾,
+    * p = N_NB⁽ℓ⁻¹⁾, f = N⁽ℓ⁾), starting from state 0 = (a = X, p = 0,
+    * f = X) over the seeds. Each ℓ is one hop of [[GraphOps.multiply]] for
+    * both families that carries the node's own state and degree along. The
+    * ℓ-dependent c of (D − c·I) is computed from the state's l, and every
+    * column but lbl is non-null, so all hops, of this call and of later
+    * ones, run one plan. Xᵀ·N is a sum by (l, lbl) over the labeled rows of
+    * every state, taken in one job over the per-state scans (a union of
+    * identical plans would compile one class per child). A seed class id
+    * outside [0, k) fails state 0.
     */
   def compute(g: SparseGraph, seedLabels: DataFrame, k: Int, lmax: Int): Sketches = {
     require(lmax >= 1, "lmax must be >= 1")
-    import GraphOps.{diagScale, minus, named, names, values}
+    import GraphOps.{diagScale, materialize, minus, named, values}
     val (a, p, q, f) = (values(k, "a"), values(k, "p"), values(k, "q"), values(k, "f"))
-    val labeled = seedLabels.select(col("node"), GraphOps.checkedClass(col("cls"), k).as("lbl"))
+    def orZero(c: Column): Column = coalesce(c, lit(0.0))
+    def stateRow(l: Column, a: Seq[Column], p: Seq[Column], f: Seq[Column]): Seq[Column] =
+      (col("node") +: col("lbl") +: l.as("l") +: named(a, "a")) ++ named(p, "p") ++ named(f, "f")
+
     val x = (0 until k).map(j => when(col("lbl") === j, 1.0).otherwise(0.0))
+    var state = materialize(seedLabels.select(col("node"), GraphOps.checkedClass(col("cls"), k).as("lbl"))
+      .select(stateRow(lit(0), x, x.map(_ => lit(0.0)), x): _*))
 
-    // ℓ = 1: N⁽¹⁾ = W·X for both families; the own rows bring deg, lbl and N⁽⁰⁾ = X.
-    val hop1 = GraphOps.multiply(g.edges, labeled.select(col("node") +: named(x, "a"): _*),
-      g.degrees, labeled.select(col("node") +: col("lbl") +: named(x, "p"): _*))
-    val states = Vector.newBuilder[DataFrame]
-    var state = GraphOps.materialize(hop1.select(
-      (col("node") +: coalesce(col("deg"), lit(0.0)).as("deg") +: col("lbl") +: named(a, "a")) ++
-        named(p.map(coalesce(_, lit(0.0))), "p") ++ named(a, "f"): _*))
-    states += state
-
-    for (l <- 2 to lmax) {
-      // N⁽ℓ⁾ = W·N⁽ℓ⁻¹⁾; N_NB⁽ℓ⁾ = W·N_NB⁽ℓ⁻¹⁾ − (D − c·I)·N_NB⁽ℓ⁻²⁾ with
-      // c = 0 at ℓ = 2 (subtracting D·X) and 1 after (Prop. 4.3). At ℓ = 2
-      // both families start from N⁽¹⁾, so it is sent once.
-      val send = state.select(col("node") +: (if (l == 2) a else a ++ f): _*)
-      val own = state.select((col("node") +: col("deg") +: col("lbl") +: named(a, "p")) ++ named(p, "q"): _*)
-      val c = if (l == 2) 0.0 else 1.0
-      state = GraphOps.materialize(GraphOps.multiply(g.edges, send, own).select(
-        (col("node") +: col("deg") +: col("lbl") +: named(minus(a, diagScale(q, col("deg"), c)), "a")) ++
-          named(p, "p") ++ named(if (l == 2) a else f, "f"): _*))
-      states += state
+    // N⁽ℓ⁾ = W·N⁽ℓ⁻¹⁾; N_NB⁽ℓ⁾ = W·N_NB⁽ℓ⁻¹⁾ − (D − c·I)·N_NB⁽ℓ⁻²⁾ with c = 0
+    // up to ℓ = 2 (at ℓ = 2 it subtracts D·X) and 1 after (Prop. 4.3); at
+    // ℓ = 1 the subtracted N_NB⁽⁻¹⁾ is p = 0.
+    val taken = coalesce(col("l"), lit(0)) // hops behind the sent state
+    val c = when(taken >= 2, 1.0).otherwise(0.0)
+    val next = stateRow(taken + 1, minus(a, diagScale(q.map(orZero), orZero(col("deg")), c)), p.map(orZero), f)
+    val states = (1 to lmax).map { _ =>
+      val send = state.select(col("node") +: (a ++ f): _*)
+      val own = state.select((col("node") +: col("lbl") +: col("l") +: named(a, "p")) ++ named(p, "q"): _*)
+      state = materialize(GraphOps.multiply(g.edges, send, own, g.degrees).select(next: _*))
+      state
     }
 
-    // One row per (ℓ, class): (l, lbl, cnt, Σa, Σf) over the labeled nodes.
-    val sums = (names(k, "a") ++ names(k, "f")).map(c => sum(c).as(c))
-    val rows = states.result().zipWithIndex
-      .map { case (s, i) => s.where(col("lbl").isNotNull).select((lit(i + 1).as("l") +: col("lbl") +: a) ++ f: _*) }
-      .reduce(_ unionByName _)
-      .groupBy("l", "lbl").agg(count(lit(1)).as("cnt"), sums: _*)
+    // Per (ℓ, class) over the labeled nodes: (count, Σa, Σf).
+    val rows = g.edges.sparkSession.sparkContext
+      .union(states.map(_.where(col("lbl").isNotNull).select((col("l") +: col("lbl") +: a) ++ f: _*).rdd))
+      .map(r => (r.getInt(0), r.getInt(1)) -> (1.0 +: (2 until 2 + 2 * k).map(r.getDouble)).toArray)
+      .reduceByKey((u, v) => u.indices.map(i => u(i) + v(i)).toArray)
       .collect().toSeq
     def family(l: Int, offset: Int): Dense =
-      GraphOps.classMatrix(k, rows.filter(_.getInt(0) == l)
-        .map(r => r.getInt(1) -> Array.tabulate(k)(j => r.getDouble(3 + offset + j))))
-    val nLabeled = rows.filter(_.getInt(0) == 1).map(_.getLong(2)).sum
+      GraphOps.classMatrix(k, rows.collect { case ((`l`, lbl), sums) => lbl -> sums.slice(1 + offset, 1 + offset + k) })
+    val nLabeled = rows.collect { case ((1, _), sums) => sums(0).toLong }.sum
     Sketches(k, lmax, nLabeled, (1 to lmax).map(family(_, k)), (1 to lmax).map(family(_, 0)))
   }
 }

@@ -43,25 +43,35 @@ object Accuracy {
     * an argmax over an all-zero row.
     */
   def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double =
-    scores(nonSeeds(truth, seeds), predictions, Seq(col("cls"))).head
+    scores(truth, seeds, predictions, Seq(col("cls"))).head
 
-  /** The (node, cls) rows of ``truth`` whose node is not a seed. */
-  private def nonSeeds(truth: DataFrame, seeds: DataFrame): DataFrame =
-    truth.join(seeds.select("node").withColumnRenamed("node", "__s"), col("node") === col("__s"), "left_anti")
-
-  /** For every prediction column, evaluated over ``predictions`` left-joined
-    * on node, the fraction of the (node, cls) rows of ``evalNodes`` that
-    * get their true class. One query; a node without a prediction counts
-    * as class 0.
+  /** For every prediction column, evaluated over ``predictions``, the
+    * fraction of the (node, cls) rows of ``truth`` whose node is not in
+    * ``seeds`` that get their true class; a node without a prediction
+    * counts as class 0.
+    *
+    * One job: the three tables are unioned and grouped by node, each node
+    * keeping its truth, a seed flag and its predictions, since a join would
+    * only mark rows. The union and the grouping are RDD operations over one
+    * scan per table, so the query compiles no class per union child and
+    * none for the grouping, and truth and seeds go through one projection.
     */
-  private def scores(evalNodes: DataFrame, predictions: DataFrame, predicted: Seq[Column]): Seq[Double] = {
-    val hits = predicted.map(p => avg((coalesce(p, lit(0)) === col("truth")).cast("double")))
-    val r = evalNodes
-      .withColumnRenamed("cls", "truth")
-      .join(predictions.withColumnRenamed("node", "__n"), col("node") === col("__n"), "left")
-      .agg(hits.head, hits.tail: _*)
-      .first()
-    predicted.indices.map(i => if (r.isNullAt(i)) 0.0 else r.getDouble(i))
+  private def scores(truth: DataFrame, seeds: DataFrame, predictions: DataFrame, predicted: Seq[Column]): Seq[Double] = {
+    val n = predicted.length
+    type Marks = (Int, Boolean, Array[Int]) // truth class or −1, seed flag, predictions or null
+    def labels(df: DataFrame) = df.select(col("node"), col("cls").cast("int")).rdd.map(r => r.getLong(0) -> r.getInt(1))
+    val preds = predictions.select(col("node") +: predicted.map(coalesce(_, lit(0)).cast("int")): _*).rdd
+      .map(r => r.getLong(0) -> ((-1, false, Array.tabulate(n)(i => r.getInt(i + 1))): Marks))
+    val byNode = truth.sparkSession.sparkContext.union(
+        labels(truth).mapValues(c => (c, false, null): Marks),
+        labels(seeds).mapValues(_ => (-1, true, null): Marks),
+        preds)
+      .reduceByKey((u: Marks, v: Marks) => (math.max(u._1, v._1), u._2 || v._2, if (u._3 != null) u._3 else v._3))
+    // Per prediction column its hits, then the number of scored nodes.
+    val counts = byNode.values
+      .collect { case (t, false, p) if t >= 0 => Array.tabulate(n)(i => if ((if (p == null) 0 else p(i)) == t) 1L else 0L) :+ 1L }
+      .fold(new Array[Long](n + 1))((u, v) => Array.tabulate(n + 1)(i => u(i) + v(i)))
+    (0 until n).map(i => if (counts(n) == 0) 0.0 else counts(i).toDouble / counts(n))
   }
 
   /** Label with LinBP under compatibility matrix h, then score against
@@ -88,22 +98,23 @@ object Accuracy {
       iterations: Int,
       s: Double,
       rhoW: Option[Double]): Seq[Double] =
-    labelAndScore(g, seeds, nonSeeds(truth, seeds), hs, iterations, s, rhoW)
+    labelAndScore(g, seeds, truth, hs, iterations, s, rhoW)
 
   /** LinBP from ``seeds`` under every H of ``hs`` in one batched run, each
-    * block scored on the (node, cls) rows of ``evalNodes`` in one query.
+    * block scored in one query on the (node, cls) rows of ``truth`` whose
+    * node is not a seed.
     */
   def labelAndScore(
       g: SparseGraph,
       seeds: DataFrame,
-      evalNodes: DataFrame,
+      truth: DataFrame,
       hs: Seq[Dense],
       iterations: Int,
       s: Double,
       rhoW: Option[Double]): Seq[Double] = {
     val k = hs.head.rows
     val f = LinBP.runMany(g, seeds, hs, iterations, s, rhoW)
-    scores(evalNodes, f, hs.indices.map(i => GraphOps.argmax(GraphOps.values(k, LinBP.block(i)))))
+    scores(truth, seeds, f, hs.indices.map(i => GraphOps.argmax(GraphOps.values(k, LinBP.block(i)))))
   }
 
   /** Score an arbitrary belief matrix (for the homophily baselines). */

@@ -137,7 +137,7 @@ class GraphOpsSpec extends SparkSpec {
     val f = DenseRef.random(n, 3, seed = 12)
     val df = LocalGraphs.wide(spark, f).join(g.degrees, "node")
     for (c <- Seq(0.0, 1.0)) {
-      val got = LocalGraphs.toDense(rowOf(df, GraphOps.diagScale(GraphOps.values(3), col("deg"), c)), n, 3)
+      val got = LocalGraphs.toDense(rowOf(df, GraphOps.diagScale(GraphOps.values(3), col("deg"), lit(c))), n, 3)
       val expected = (DenseRef.degreeMatrix(w) - Dense.eye(n).scale(c)) * f
       assert(got.approxEquals(expected, 1e-9), s"c=$c")
     }
@@ -189,6 +189,22 @@ class GraphOpsSpec extends SparkSpec {
     val expected = w.spectralRadius()
     val got = GraphOps.spectralRadius(g, iters = 40)
     assert(math.abs(got - expected) / expected < 0.01, s"got $got expected $expected")
+  }
+
+  test("spectralRadius equals power iteration normalizing at every step, t = 1..6") {
+    // Sequential reference: v ← W·(v/‖v‖) from v = W·1, returning the last ‖v‖.
+    def normalizing(w: Dense, t: Int): Double = {
+      def norm(v: Dense) = math.sqrt(v.data.map(x => x * x).sum)
+      var v = w * Dense.fill(w.rows, 1)(1.0)
+      var lambda = norm(v)
+      for (_ <- 2 to t) { v = w * v.scale(1 / lambda); lambda = norm(v) }
+      lambda
+    }
+    val star = Seq((0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6))
+    for ((graph, dense) <- Seq(g -> w, LocalGraphs.graph(spark, 8, star) -> DenseRef.adjacency(8, star)); t <- 1 to 6) {
+      val (got, expected) = (GraphOps.spectralRadius(graph, t), normalizing(dense, t))
+      assert(math.abs(got - expected) <= 1e-12 * expected, s"t=$t: got $got expected $expected")
+    }
   }
 
   test("spectral radius of a graph without edges is 0") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-class GradientDescentSpec extends AnyFunSuite {
+class BFGSSpec extends AnyFunSuite {
 
   test("minimizes a separable quadratic to its center") {
     def fg(x: Array[Double]) = {
@@ -10,7 +10,7 @@ class GradientDescentSpec extends AnyFunSuite {
       val v = x.zip(c).map { case (xi, ci) => (xi - ci) * (xi - ci) }.sum
       (v, x.zip(c).map { case (xi, ci) => 2 * (xi - ci) })
     }
-    val r = GradientDescent.minimize(fg, Array(0.0, 0.0, 0.0))
+    val r = BFGS.minimize(fg, Array(0.0, 0.0, 0.0))
     assert(r.converged)
     assert(r.x.zip(Array(1.0, -2.0, 3.0)).forall { case (a, b) => math.abs(a - b) < 1e-6 })
     assert(r.value < 1e-10)
@@ -19,7 +19,7 @@ class GradientDescentSpec extends AnyFunSuite {
   test("handles moderately ill-conditioned quadratics") {
     def fg(x: Array[Double]) =
       (100 * x(0) * x(0) + x(1) * x(1), Array(200 * x(0), 2 * x(1)))
-    val r = GradientDescent.minimize(fg, Array(1.0, 1.0), maxIters = 5000, gradTol = 1e-8)
+    val r = BFGS.minimize(fg, Array(1.0, 1.0), maxIters = 5000, gradTol = 1e-8)
     assert(math.abs(r.x(0)) < 1e-4 && math.abs(r.x(1)) < 1e-3)
   }
 
@@ -30,19 +30,19 @@ class GradientDescentSpec extends AnyFunSuite {
       val g = Array(-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a))
       (f, g)
     }
-    val r = GradientDescent.minimize(fg, Array(-1.0, 1.0), maxIters = 20000)
+    val r = BFGS.minimize(fg, Array(-1.0, 1.0), maxIters = 20000)
     assert(r.value < 1e-3, s"value=${r.value}")
   }
 
   test("stops immediately at a stationary point") {
     def fg(x: Array[Double]) = (x(0) * x(0), Array(2 * x(0)))
-    val r = GradientDescent.minimize(fg, Array(0.0))
+    val r = BFGS.minimize(fg, Array(0.0))
     assert(r.converged && r.iters == 0)
   }
 
   test("respects the iteration cap") {
     def fg(x: Array[Double]) = (x(0), Array(1.0)) // unbounded below
-    val r = GradientDescent.minimize(fg, Array(0.0), maxIters = 7)
+    val r = BFGS.minimize(fg, Array(0.0), maxIters = 7)
     assert(r.iters == 7 && !r.converged)
   }
 
@@ -50,7 +50,7 @@ class GradientDescentSpec extends AnyFunSuite {
     // |x| at its kink, with the one-sided gradient 1: every step along −1
     // increases f, so no step passes Armijo.
     def fg(x: Array[Double]) = (math.abs(x(0)), Array(1.0))
-    val r = GradientDescent.minimize(fg, Array(0.0))
+    val r = BFGS.minimize(fg, Array(0.0))
     assert(!r.converged && r.iters == 0 && r.gradNorm == 1.0)
   }
 
@@ -63,7 +63,7 @@ class GradientDescentSpec extends AnyFunSuite {
         x.indices.map(i => q(i) * (x(i) - c(i)) * (x(i) - c(i))).sum,
         x.indices.map(i => 2 * q(i) * (x(i) - c(i))).toArray)
       val x0 = Array.fill(4)(rnd.nextDouble() * 10 - 5)
-      val r = GradientDescent.minimize(fg, x0, maxIters = 200)
+      val r = BFGS.minimize(fg, x0, maxIters = 200)
       assert(r.value <= fg(x0)._1 + 1e-12)
     }
   }

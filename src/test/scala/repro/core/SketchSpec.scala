@@ -43,6 +43,19 @@ class SketchSpec extends SparkSpec {
       assert(sketches.mFull(l - 1).approxEquals(DenseRef.collapse(xDense, w.pow(l)), 0), s"full l=$l")
   }
 
+  test("a seed without edges counts in nLabeled and adds nothing to any M⁽ℓ⁾") {
+    val cycle = Seq((0, 1), (1, 2), (2, 3), (3, 0), (1, 3))
+    val small = LocalGraphs.graph(spark, 6, cycle)
+    val withEdges = Map(0 -> 0, 1 -> 2, 2 -> 1, 3 -> 0)
+    val all = Sketch.compute(small, LocalGraphs.labels(spark, withEdges + (5 -> 1)), k, lmax = 4)
+    val connected = Sketch.compute(small, LocalGraphs.labels(spark, withEdges), k, lmax = 4)
+    assert(all.nLabeled == 5 && connected.nLabeled == 4)
+    for (l <- 1 to 4) {
+      assert(all.mNB(l - 1).approxEquals(connected.mNB(l - 1), 0), s"NB l=$l")
+      assert(all.mFull(l - 1).approxEquals(connected.mFull(l - 1), 0), s"full l=$l")
+    }
+  }
+
   test("compute rejects a seed class id outside [0,k)") {
     val bad = LocalGraphs.labels(spark, labelMap + (3 -> k))
     val e = intercept[Exception](Sketch.compute(g, bad, k, lmax = 2))
