@@ -68,10 +68,10 @@ object Estimators {
 
   /** Myopic Compatibility Estimation (§4.3): the closest symmetric
     * doubly-stochastic matrix to the normalized neighbor statistics P̂⁽¹⁾.
-    * Equivalent to DCE with ℓmax = 1 (and convex).
+    * Equivalent to DCE with ℓmax = 1 (and convex); the other normalization
+    * variants are `dce(sk, lmax = 1, variant = v)`.
     */
-  def mce(sk: Sketches, variant: Int = 1): EstimationResult =
-    dce(sk, lmax = 1, lambda = 1.0, variant = variant)
+  def mce(sk: Sketches): EstimationResult = dce(sk, lmax = 1, lambda = 1.0)
 
   /** Linear Compatibility Estimation (§4.2): minimize ‖X − W·X·H‖².
     *
@@ -101,18 +101,15 @@ object Estimators {
     *
     * @param init optional start (free-parameter vector); defaults to the
     *             uniform 1/k start the paper uses
-    * @param nonBacktracking fit against P̂_NB (default) or the biased
-    *             full-path P̂ (for the Thm. 4.1 comparison)
     */
   def dce(
       sk: Sketches,
       lmax: Int = DefaultLmax,
       lambda: Double = DefaultLambda,
       variant: Int = 1,
-      init: Option[Array[Double]] = None,
-      nonBacktracking: Boolean = true): EstimationResult = {
+      init: Option[Array[Double]] = None): EstimationResult = {
     require(lmax <= sk.lmax, s"sketches only go to ℓ=${sk.lmax}, asked for $lmax")
-    val targets = (1 to lmax).map(l => if (nonBacktracking) sk.pNB(l, variant) else sk.pFull(l, variant))
+    val targets = (1 to lmax).map(sk.pNB(_, variant))
     val w = weights(lmax, lambda)
     val x0 = init.getOrElse(CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(sk.k)))
     val r = BFGS.minimize(dceEnergyGrad(targets, w), x0)
@@ -130,8 +127,7 @@ object Estimators {
       lambda: Double = DefaultLambda,
       variant: Int = 1,
       restarts: Int = DefaultRestarts,
-      seed: Long = 0,
-      nonBacktracking: Boolean = true): EstimationResult = {
+      seed: Long = 0): EstimationResult = {
     val k = sk.k
     val kStar = CompatibilityMatrix.numFree(k)
     val rnd = new scala.util.Random(seed)
@@ -140,8 +136,7 @@ object Estimators {
       CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)) +:
         Seq.fill(math.max(0, restarts - 1))(
           Array.fill(kStar)(1.0 / k + (if (rnd.nextBoolean()) delta else -delta)))
-    val results = starts.map(s0 =>
-      dce(sk, lmax, lambda, variant, init = Some(s0), nonBacktracking = nonBacktracking))
+    val results = starts.map(s0 => dce(sk, lmax, lambda, variant, init = Some(s0)))
     val best = results.minBy(_.energy)
     best.copy(evals = results.map(_.evals).sum)
   }
@@ -154,7 +149,8 @@ object Estimators {
     * Nelder–Mead hands over its independent points as one batch (the
     * initial simplex, a shrink), and each split labels and scores a whole
     * batch with one batched LinBP run and one query
-    * ([[repro.eval.Accuracy.labelAndScore]]).
+    * ([[repro.eval.Accuracy.endToEnd]]). ρ(W) is ``rhoW`` if given, else
+    * the graph's own [[SparseGraph.rho]], and every batch uses it.
     */
   def holdout(
       g: SparseGraph,
@@ -166,18 +162,16 @@ object Estimators {
       s: Double = LinBP.DefaultS,
       seed: Long = 0,
       rhoW: Option[Double] = None): EstimationResult = {
-    val rho = LinBP.nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g)))
+    val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
     val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
       val tagged = GraphOps.materialize(seedLabels.withColumn("__r", rand(seed + i) < 0.5))
       (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     }
     def energies(batch: Seq[Array[Double]]): Seq[Double] = {
       val hs = batch.map(CompatibilityMatrix.fromFree(_, k))
-      splits
-        .map { case (seedPart, holdPart) =>
-          Accuracy.labelAndScore(g, seedPart, holdPart, hs, iterations, s, Some(rho))
-        }
-        .transpose.map(-_.sum)
+      splits.map { case (seedPart, holdPart) =>
+        Accuracy.endToEnd(g, holdPart, seedPart, hs, iterations, s, Some(rho))
+      }.transpose.map(-_.sum)
     }
     val x0 = CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k))
     val r = NelderMead.minimizeBatch(energies, x0, initialStep = 1.0 / (2 * k), maxEvals = maxEvals)

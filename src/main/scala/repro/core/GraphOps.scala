@@ -23,6 +23,11 @@ final case class SparseGraph(n: Long, edges: DataFrame) {
     */
   lazy val degrees: DataFrame = GraphOps.materialize(
     edges.groupBy("dst").agg(count(lit(1)).cast("double").as("deg")).withColumnRenamed("dst", "node"))
+
+  /** Spectral radius ρ(W) ([[GraphOps.spectralRadius]], 25 iterations),
+    * computed once per graph: LinBP and Holdout read it here.
+    */
+  lazy val rho: Double = GraphOps.spectralRadius(this)
 }
 
 /** Distributed sparse linear algebra over the wide layout.
@@ -133,18 +138,6 @@ object GraphOps {
       Array.copy(row, 0, out.data, c * k, k)
     }
     out
-  }
-
-  /** Xᵀ·N — collapse an n×k matrix against labels into a k×k driver
-    * matrix: M_cd = Σ_{i labeled c} N_id.
-    */
-  def collapse(labels: DataFrame, nMat: DataFrame, k: Int): Dense = {
-    val sums = names(k).map(c => sum(c).as(c))
-    val rows = labels
-      .join(nMat.withColumnRenamed("node", "__n"), col("node") === col("__n"))
-      .groupBy("cls").agg(sums.head, sums.tail: _*)
-      .collect()
-    classMatrix(k, rows.map(r => r.getInt(0) -> Array.tabulate(k)(j => r.getDouble(j + 1))).toSeq)
   }
 
   /** The index of a row's largest column; ties break toward the smallest

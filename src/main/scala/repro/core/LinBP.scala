@@ -29,9 +29,7 @@ object LinBP {
     * @param h          compatibility matrix (centered or not — Thm. 3.1)
     * @param iterations fixed iteration count (paper: 10)
     * @param s          convergence parameter, ε = s/(ρ(W)·ρ(H̃))
-    * @param rhoW       precomputed ρ(W); pass it when labeling the same
-    *                   graph repeatedly (Holdout does), else it is
-    *                   computed by distributed power iteration
+    * @param rhoW       ρ(W) to use instead of the graph's own [[SparseGraph.rho]]
     * @param center     propagate residuals (default) or raw frequencies
     */
   def run(
@@ -76,7 +74,7 @@ object LinBP {
     require(hs.nonEmpty, "runMany needs at least one H")
     val k = hs.head.rows
     require(hs.forall(h => h.rows == k && h.cols == k), s"every H must be $k×$k")
-    lazy val rho = nonZeroRho(rhoW.getOrElse(GraphOps.spectralRadius(g)))
+    lazy val rho = nonZeroRho(rhoW.getOrElse(g.rho))
     val hEffs = hs.map { h =>
       val hTilde = CompatibilityMatrix.centered(h)
       val rhoH = hTilde.spectralRadius()

@@ -15,15 +15,6 @@ object NelderMead {
 
   final case class Result(x: Array[Double], value: Double, evals: Int)
 
-  /** [[minimizeBatch]] over a scalar objective, one point at a time. */
-  def minimize(
-      f: Array[Double] => Double,
-      x0: Array[Double],
-      initialStep: Double = 0.1,
-      maxEvals: Int = 200,
-      tol: Double = 1e-6): Result =
-    minimizeBatch(_.map(f), x0, initialStep, maxEvals, tol)
-
   /** Minimize an objective that evaluates a batch of points per call.
     *
     * Points that do not depend on each other's values go in one batch: the

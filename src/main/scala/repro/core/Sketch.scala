@@ -71,7 +71,8 @@ object Sketch {
     * ones, run one plan. Xᵀ·N is a sum by (l, lbl) over the labeled rows of
     * every state, taken in one job over the per-state scans (a union of
     * identical plans would compile one class per child). A seed class id
-    * outside [0, k) fails state 0.
+    * outside [0, k) fails state 0, and seeds that miss a class of [0, k)
+    * fail after the collect, where that class has no row.
     */
   def compute(g: SparseGraph, seedLabels: DataFrame, k: Int, lmax: Int): Sketches = {
     require(lmax >= 1, "lmax must be >= 1")
@@ -104,6 +105,8 @@ object Sketch {
       .map(r => (r.getInt(0), r.getInt(1)) -> (1.0 +: (2 until 2 + 2 * k).map(r.getDouble)).toArray)
       .reduceByKey((u, v) => u.indices.map(i => u(i) + v(i)).toArray)
       .collect().toSeq
+    val missing = (0 until k).filterNot(c => rows.exists(_._1 == (1, c)))
+    require(missing.isEmpty, s"no seed of class ${missing.mkString(", ")}: P̂ would have no evidence for it")
     def family(l: Int, offset: Int): Dense =
       GraphOps.classMatrix(k, rows.collect { case ((`l`, lbl), sums) => lbl -> sums.slice(1 + offset, 1 + offset + k) })
     val nLabeled = rows.collect { case ((1, _), sums) => sums(0).toLong }.sum

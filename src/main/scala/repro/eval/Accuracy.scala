@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{GraphOps, LinBP, SparseGraph}
+import repro.core.{GraphOps, LinBP, Sketch, SparseGraph}
 import repro.linalg.Dense
 
 /** End-to-end quality assessment (§5, "Quality assessment").
@@ -32,11 +32,8 @@ object Accuracy {
     * on the *fully labeled* graph — the row-normalized M⁽¹⁾ = XᵀWX at
     * f = 1 (§5.3). This is what the paper calls GS for real data.
     */
-  def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense = {
-    val x = GraphOps.oneHot(labels, k)
-    val n1 = GraphOps.multiply(g.edges, x)
-    GraphOps.collapse(labels, n1, k).rowNormalized
-  }
+  def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense =
+    Sketch.compute(g, labels, k, 1).mFull(0).rowNormalized
 
   /** Accuracy of predictions over labeled truth, excluding seed nodes.
     * Nodes that never received any belief default to class 0, matching
@@ -74,44 +71,19 @@ object Accuracy {
     (0 until n).map(i => if (counts(n) == 0) 0.0 else counts(i).toDouble / counts(n))
   }
 
-  /** Label with LinBP under compatibility matrix h, then score against
-    * the ground truth on non-seed nodes.
+  /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched
+    * run ([[LinBP.runMany]]), then score each H in one query against the
+    * (node, cls) rows of ``truth`` whose node is not a seed: one accuracy
+    * per H.
     */
   def endToEnd(
       g: SparseGraph,
       truth: DataFrame,
       seeds: DataFrame,
-      h: Dense,
+      hs: Seq[Dense],
       iterations: Int = LinBP.DefaultIterations,
       s: Double = LinBP.DefaultS,
-      rhoW: Option[Double] = None): Double =
-    endToEnd(g, truth, seeds, Seq(h), iterations, s, rhoW).head
-
-  /** [[endToEnd]] under every H of ``hs``: one batched LinBP run
-    * ([[LinBP.runMany]]) and one scoring query, one accuracy per H.
-    */
-  def endToEnd(
-      g: SparseGraph,
-      truth: DataFrame,
-      seeds: DataFrame,
-      hs: Seq[Dense],
-      iterations: Int,
-      s: Double,
-      rhoW: Option[Double]): Seq[Double] =
-    labelAndScore(g, seeds, truth, hs, iterations, s, rhoW)
-
-  /** LinBP from ``seeds`` under every H of ``hs`` in one batched run, each
-    * block scored in one query on the (node, cls) rows of ``truth`` whose
-    * node is not a seed.
-    */
-  def labelAndScore(
-      g: SparseGraph,
-      seeds: DataFrame,
-      truth: DataFrame,
-      hs: Seq[Dense],
-      iterations: Int,
-      s: Double,
-      rhoW: Option[Double]): Seq[Double] = {
+      rhoW: Option[Double] = None): Seq[Double] = {
     val k = hs.head.rows
     val f = LinBP.runMany(g, seeds, hs, iterations, s, rhoW)
     scores(truth, seeds, f, hs.indices.map(i => GraphOps.argmax(GraphOps.values(k, LinBP.block(i)))))

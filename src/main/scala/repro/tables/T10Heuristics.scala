@@ -31,13 +31,11 @@ object T10Heuristics {
       val spec = full.scaled(maxEdges)
       val gen = RealWorld.generate(spark, spec, seed)
       val gs = Accuracy.measuredGS(gen.graph, gen.labels, spec.k)
-      val rho = GraphOps.spectralRadius(gen.graph)
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
       val sk = Sketch.compute(gen.graph, seeds, spec.k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 2)
       val heur = Heuristics.twoValue(gs)
-      val Seq(accGS, accDcer, accHeur) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, heur),
-        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      val Seq(accGS, accDcer, accHeur) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, heur))
       Row(spec.name, f, accGS, accDcer, accHeur, 1.0 / spec.k)
     }
   }

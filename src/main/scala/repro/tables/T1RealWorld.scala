@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Estimators, GraphOps, LinBP, Sketch}
+import repro.core.{Estimators, Sketch}
 import repro.eval.{Accuracy, RealWorld}
 
 /** T1 — Fig. 8 (dataset statistics + DCEr runtime) and T12 — Fig. 14
@@ -31,8 +31,7 @@ object T1RealWorld {
       spark: SparkSession,
       maxEdges: Long = 150000,
       f: Double = 0.01,
-      seed: Long = 0,
-      withAccuracy: Boolean = true): Seq[Row] = {
+      seed: Long = 0): Seq[Row] = {
     RealWorld.all.map { full =>
       val spec = full.scaled(maxEdges)
       val gen = RealWorld.generate(spark, spec, seed)
@@ -43,11 +42,7 @@ object T1RealWorld {
       val (dcer, tOpt) = TableUtil.timed(
         Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)
-      val Seq(accGS, accEst) =
-        if (withAccuracy)
-          Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h),
-            LinBP.DefaultIterations, LinBP.DefaultS, Some(GraphOps.spectralRadius(gen.graph)))
-        else Seq(Double.NaN, Double.NaN)
+      val Seq(accGS, accEst) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h))
       Row(spec.name, spec.n, m, 2.0 * m / spec.n, spec.k,
         tSketch, tOpt, dcer.h.frobDist(gs), mce.h.frobDist(gs), accGS, accEst)
     }

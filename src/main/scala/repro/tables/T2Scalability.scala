@@ -43,10 +43,8 @@ object T2Scalability {
       val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
         Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed + n)
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
-      val (rho, tRho) = TableUtil.timed(GraphOps.spectralRadius(gen.graph))
-      val (_, tProp) = TableUtil.timed {
-        LinBP.run(gen.graph, seeds, h, iterations = 10, rhoW = Some(rho)).count()
-      }
+      val (_, tRho) = TableUtil.timed(gen.graph.rho)
+      val (_, tProp) = TableUtil.timed(LinBP.run(gen.graph, seeds, h, iterations = 10).count())
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
       val (_, tMce) = TableUtil.timed(Estimators.mce(sk))
       val (_, tDce) = TableUtil.timed(Estimators.dce(sk))
@@ -55,7 +53,7 @@ object T2Scalability {
       val tHoldout =
         if (n <= holdoutMaxN)
           TableUtil.timed(Estimators.holdout(gen.graph, seeds, k, b = 1,
-            maxEvals = holdoutEvals, rhoW = Some(rho), seed = seed))._2
+            maxEvals = holdoutEvals, seed = seed))._2
         else -1L
       Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, tLce, tHoldout)
     }

@@ -41,7 +41,6 @@ object T3AccuracyVsF {
     val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val rho = GraphOps.spectralRadius(gen.graph)
     fs.map { f =>
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
@@ -51,10 +50,9 @@ object T3AccuracyVsF {
       val lce = Estimators.lce(sk)
       val hold =
         if (holdoutFs.contains(f))
-          Seq(Estimators.holdout(gen.graph, seeds, k, b = 1, maxEvals = holdoutEvals, rhoW = Some(rho), seed = seed).h)
+          Seq(Estimators.holdout(gen.graph, seeds, k, b = 1, maxEvals = holdoutEvals, seed = seed).h)
         else Nil
-      val accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, dce.h, mce.h, lce.h) ++ hold,
-        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      val accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, dce.h, mce.h, lce.h) ++ hold)
       Row(f, seeds.count(), accs(0), accs(1), accs(2), accs(3), accs(4),
         accs.lift(5).getOrElse(Double.NaN), dcer.h.frobDist(gs), mce.h.frobDist(gs))
     }

@@ -34,13 +34,11 @@ object T6Restarts {
     val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val rho = GraphOps.spectralRadius(gen.graph)
     val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val global = Estimators.dce(sk, init = Some(CompatibilityMatrix.toFree(gs)))
     val ests = rs.map(r => Estimators.dcer(sk, restarts = r, seed = seed + 5))
-    val accGlobal +: accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, global.h +: ests.map(_.h),
-      LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+    val accGlobal +: accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, global.h +: ests.map(_.h))
     rs.lazyZip(ests).lazyZip(accs).map { (r, est, acc) =>
       Row(r, est.energy, acc, est.h.frobDist(gs), global.energy, accGlobal)
     }

@@ -38,13 +38,11 @@ object T7Classes {
       val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
         Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed + k)
       val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-      val rho = GraphOps.spectralRadius(gen.graph)
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
       val (dcer, tOpt) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)
-      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h),
-        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h))
       val accHarm = Accuracy.scoreBeliefs(
         Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
       Row(k, accGS, accDcer, accMce, accHarm, 1.0 / k, tSketch, tOpt)

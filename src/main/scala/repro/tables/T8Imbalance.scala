@@ -41,14 +41,12 @@ object T8Imbalance {
     val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
       PaperAlpha, PaperH, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val rho = GraphOps.spectralRadius(gen.graph)
     fs.map { f =>
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
       val mce = Estimators.mce(sk)
-      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h),
-        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h))
       val accHarm = Accuracy.scoreBeliefs(
         Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
       Row(f, accGS, accDcer, accMce, accHarm, PaperAlpha.max, dcer.h.frobDist(gs))

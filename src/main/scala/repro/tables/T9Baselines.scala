@@ -31,13 +31,11 @@ object T9Baselines {
     val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val rho = GraphOps.spectralRadius(gen.graph)
     fs.map { f =>
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
-      val Seq(accGS, accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h),
-        LinBP.DefaultIterations, LinBP.DefaultS, Some(rho))
+      val Seq(accGS, accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h))
       Row(f, accGS, accDcer,
         Accuracy.scoreBeliefs(Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds),
         Accuracy.scoreBeliefs(Baselines.multiRankWalk(gen.graph, seeds, k), gen.labels, seeds),

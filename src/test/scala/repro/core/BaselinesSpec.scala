@@ -29,7 +29,7 @@ class BaselinesSpec extends SparkSpec {
     val seeds = Accuracy.sampleSeeds(hetero.labels, 0.05, seed = 2)
     val f = Baselines.harmonic(hetero.graph, seeds, k)
     val accHarm = Accuracy.scoreBeliefs(f, hetero.labels, seeds)
-    val accLinBP = Accuracy.endToEnd(hetero.graph, hetero.labels, seeds, heteroH)
+    val Seq(accLinBP) = Accuracy.endToEnd(hetero.graph, hetero.labels, seeds, Seq(heteroH))
     assert(accLinBP > accHarm + 0.2,
       s"LinBP+GS ($accLinBP) must dominate harmonic ($accHarm) under heterophily")
   }
@@ -55,7 +55,7 @@ class BaselinesSpec extends SparkSpec {
     val seeds = Accuracy.sampleSeeds(hetero.labels, 0.05, seed = 5)
     val f = Baselines.multiRankWalk(hetero.graph, seeds, k)
     val accMRW = Accuracy.scoreBeliefs(f, hetero.labels, seeds)
-    val accLinBP = Accuracy.endToEnd(hetero.graph, hetero.labels, seeds, heteroH)
+    val Seq(accLinBP) = Accuracy.endToEnd(hetero.graph, hetero.labels, seeds, Seq(heteroH))
     assert(accLinBP > accMRW + 0.2, s"LinBP $accLinBP vs MRW $accMRW")
   }
 

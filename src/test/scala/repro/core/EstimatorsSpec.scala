@@ -174,13 +174,11 @@ class EstimatorsSpec extends SparkSpec {
   private lazy val small = PlantedGraph.generate(spark, 400, 2400, balanced, h,
     DegreeDist.Uniform, seed = 19)
   private lazy val smallSeeds = Accuracy.sampleSeeds(small.labels, 0.15, seed = 9)
-  private lazy val smallRho = GraphOps.spectralRadius(small.graph)
 
   test("Holdout on a small graph finds an H that labels better than uniform") {
-    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25,
-      rhoW = Some(smallRho), seed = 10)
+    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25, seed = 10)
     assert(res.energy <= 0.0, "holdout energy is a negative accuracy")
-    val acc = Accuracy.endToEnd(small.graph, small.labels, smallSeeds, res.h, rhoW = Some(smallRho))
+    val Seq(acc) = Accuracy.endToEnd(small.graph, small.labels, smallSeeds, Seq(res.h))
     assert(acc > 1.0 / k, s"holdout-estimated H should beat random labeling, got $acc")
   }
 
@@ -190,13 +188,12 @@ class EstimatorsSpec extends SparkSpec {
     val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", rand(seed + 1) < 0.5))
     val (seedPart, holdPart) = (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     def energy(hFree: Array[Double]): Double = {
-      val f = LinBP.run(small.graph, seedPart, CompatibilityMatrix.fromFree(hFree, k), rhoW = Some(smallRho))
+      val f = LinBP.run(small.graph, seedPart, CompatibilityMatrix.fromFree(hFree, k))
       -Accuracy.accuracyOf(GraphOps.argmaxLabels(f), holdPart, seedPart)
     }
-    val ref = NelderMead.minimize(energy, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)),
+    val ref = NelderMead.minimizeBatch(_.map(energy), CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)),
       initialStep = 1.0 / (2 * k), maxEvals = 25)
-    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25,
-      rhoW = Some(smallRho), seed = seed)
+    val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25, seed = seed)
     assert(res.h == CompatibilityMatrix.fromFree(ref.x, k), s"batched:\n${res.h}\nreference:\n${CompatibilityMatrix.fromFree(ref.x, k)}")
     assert(res.energy == ref.value && res.evals == ref.evals, s"$res vs $ref")
   }
@@ -213,9 +210,7 @@ class EstimatorsSpec extends SparkSpec {
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.02, seed = 11)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val est = Estimators.dcer(sk, restarts = 10, seed = 12).h
-    val rho = GraphOps.spectralRadius(gen.graph)
-    val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho))
-    val accEst = Accuracy.endToEnd(gen.graph, gen.labels, seeds, est, rhoW = Some(rho))
+    val Seq(accGS, accEst) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, est))
     assert(accEst > accGS - 0.05, s"DCEr acc $accEst vs GS acc $accGS")
   }
 }

@@ -152,17 +152,9 @@ class GraphOpsSpec extends SparkSpec {
       .approxEquals(DenseRef.centeredOneHot(n, 3, partial), 1e-12))
   }
 
-  test("collapse computes XᵀN against the dense reference") {
-    val nMat = DenseRef.random(n, 3, seed = 13)
-    val x = DenseRef.oneHot(n, 3, labelMap)
-    val got = GraphOps.collapse(labelsDf, LocalGraphs.wide(spark, nMat), 3)
-    assert(got.approxEquals(x.t * nMat, 1e-9))
-  }
-
   test("M⁽¹⁾ = XᵀWX matches the DuckDB oracle") {
     import spark.implicits._
-    val x = GraphOps.oneHot(labelsDf, 3)
-    val m1 = GraphOps.collapse(labelsDf, GraphOps.multiply(g.edges, x), 3)
+    val m1 = Sketch.compute(g, labelsDf, 3, 1).mFull(0)
     val asDf = (for { c <- 0 until 3; d <- 0 until 3 } yield (c, d, m1(c, d))).toDF("c", "d", "v")
     Oracle.assertEquivalent(
       asDf.where(col("v") =!= 0.0),
@@ -218,8 +210,6 @@ class GraphOpsSpec extends SparkSpec {
     val e = intercept[Exception](GraphOps.oneHot(bad, 3).collect())
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(t => String.valueOf(t.getMessage).contains("class id outside [0,3): 3")), e.toString)
-    assert(intercept[IllegalArgumentException](GraphOps.collapse(bad, GraphOps.multiply(g.edges,
-      LocalGraphs.wide(spark, DenseRef.random(n, 3, seed = 17))), 3)).getMessage.contains("outside [0,3)"))
   }
 
   test("fromUndirected rejects a node id outside [0,n)") {

@@ -73,14 +73,14 @@ class NelderMeadSpec extends AnyFunSuite {
 
   test("minimizes a quadratic bowl") {
     def f(x: Array[Double]) = (x(0) - 2) * (x(0) - 2) + (x(1) + 1) * (x(1) + 1)
-    val r = NelderMead.minimize(f, Array(0.0, 0.0), initialStep = 0.5, maxEvals = 500)
+    val r = NelderMead.minimizeBatch(_.map(f), Array(0.0, 0.0), initialStep = 0.5, maxEvals = 500)
     assert(math.abs(r.x(0) - 2) < 1e-2 && math.abs(r.x(1) + 1) < 1e-2)
   }
 
   test("works on a piecewise-constant (accuracy-like) objective") {
     // Steps of a staircase: NM still walks downhill across the plateaus.
     def f(x: Array[Double]) = math.floor(math.abs(x(0) - 3) * 4) / 4.0
-    val r = NelderMead.minimize(f, Array(0.0), initialStep = 1.0, maxEvals = 200)
+    val r = NelderMead.minimizeBatch(_.map(f), Array(0.0), initialStep = 1.0, maxEvals = 200)
     assert(f(r.x) <= 0.5, s"got ${f(r.x)} at ${r.x.toSeq}")
   }
 
@@ -90,7 +90,7 @@ class NelderMeadSpec extends AnyFunSuite {
       def f(x: Array[Double]) =
         math.abs(x(0) - 1) + math.sin(3 * x(1)) * 0.5 + x(1) * x(1) * 0.1
       val x0 = Array(rnd.nextDouble() * 4 - 2, rnd.nextDouble() * 4 - 2)
-      val r = NelderMead.minimize(f, x0, maxEvals = 120)
+      val r = NelderMead.minimizeBatch(_.map(f), x0, maxEvals = 120)
       assert(r.value <= f(x0) + 1e-12)
     }
   }
@@ -98,7 +98,7 @@ class NelderMeadSpec extends AnyFunSuite {
   test("respects the eval budget") {
     var calls = 0
     def f(x: Array[Double]) = { calls += 1; x.map(v => v * v).sum }
-    NelderMead.minimize(f, Array(5.0, 5.0, 5.0), maxEvals = 25)
+    NelderMead.minimizeBatch(_.map(f), Array(5.0, 5.0, 5.0), maxEvals = 25)
     // The budget bounds evals up to finishing the current simplex operation.
     assert(calls <= 25 + 4)
   }
@@ -106,22 +106,8 @@ class NelderMeadSpec extends AnyFunSuite {
   test("reports the number of evaluations") {
     var calls = 0
     def f(x: Array[Double]) = { calls += 1; x(0) * x(0) }
-    val r = NelderMead.minimize(f, Array(3.0), maxEvals = 60)
+    val r = NelderMead.minimizeBatch(_.map(f), Array(3.0), maxEvals = 60)
     assert(r.evals == calls)
-  }
-
-  test("the batch form returns the same point, value and evals as the scalar form") {
-    val objectives: Seq[(Array[Double] => Double, Array[Double], Double, Int)] = Seq(
-      ((x: Array[Double]) => (x(0) - 2) * (x(0) - 2) + (x(1) + 1) * (x(1) + 1), Array(0.0, 0.0), 0.5, 500),
-      ((x: Array[Double]) => math.floor(math.abs(x(0) - 3) * 4) / 4.0, Array(0.0), 1.0, 200),
-      ((x: Array[Double]) => math.abs(x(0) - 1) + math.sin(3 * x(1)) * 0.5 + x(1) * x(1) * 0.1,
-        Array(1.5, -0.5), 0.1, 120),
-      ((x: Array[Double]) => x.map(v => v * v).sum, Array(5.0, 5.0, 5.0), 0.1, 25))
-    for ((f, x0, step, budget) <- objectives) {
-      val a = NelderMead.minimize(f, x0, initialStep = step, maxEvals = budget)
-      val b = NelderMead.minimizeBatch(_.map(f), x0, initialStep = step, maxEvals = budget)
-      assert(a.x.toSeq == b.x.toSeq && a.value == b.value && a.evals == b.evals)
-    }
   }
 
   test("the initial simplex arrives as one batch of d+1 points, a shrink as one of d") {

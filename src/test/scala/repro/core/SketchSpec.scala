@@ -63,6 +63,12 @@ class SketchSpec extends SparkSpec {
       .exists(t => String.valueOf(t.getMessage).contains(s"class id outside [0,$k)")), e.toString)
   }
 
+  test("compute rejects seeds that miss a class, naming it") {
+    val twoClasses = LocalGraphs.labels(spark, labelMap.filter(_._2 != 2))
+    val e = intercept[IllegalArgumentException](Sketch.compute(g, twoClasses, k, lmax = 2))
+    assert(e.getMessage.contains("class 2"), e.getMessage)
+  }
+
   test("M⁽¹⁾ and M_NB⁽¹⁾ coincide (W_NB⁽¹⁾ = W)") {
     assert(sketches.mFull(0).approxEquals(sketches.mNB(0), 1e-9))
   }

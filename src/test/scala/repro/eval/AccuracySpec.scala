@@ -1,9 +1,11 @@
 package repro.eval
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.CompatibilityMatrix
-import repro.testutil.LocalGraphs
+import repro.testutil.{DenseRef, LocalGraphs}
 
 class AccuracySpec extends SparkSpec {
 
@@ -68,11 +70,45 @@ class AccuracySpec extends SparkSpec {
     val gen = PlantedGraph.generate(spark, 1500, 12000,
       Array(1.0 / 3, 1.0 / 3, 1.0 / 3), h, DegreeDist.Uniform, seed = 6)
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.05, seed = 7)
-    val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, h)
     // A maximally wrong H: homophily where the truth is heterophily.
     val wrong = repro.linalg.Dense.fromRows(Seq(
       Seq(0.8, 0.1, 0.1), Seq(0.1, 0.8, 0.1), Seq(0.1, 0.1, 0.8)))
-    val accWrong = Accuracy.endToEnd(gen.graph, gen.labels, seeds, wrong)
+    val Seq(accGS, accWrong) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(h, wrong))
     assert(accGS > accWrong + 0.2, s"GS=$accGS wrong=$accWrong")
+  }
+
+  /** The Spark jobs ``body`` starts. A listener sees job starts in order, so
+    * a marked job before and after ``body`` bounds the ones it started.
+    */
+  private def jobsOf(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val marks = new LinkedBlockingQueue[Integer]
+    var started = 0
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("jobsOf.mark") != null) marks.put(started)
+        else started += 1
+    }
+    def mark(): Int = {
+      sc.setLocalProperty("jobsOf.mark", "1")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("jobsOf.mark", null)
+      val seen = marks.poll(60, TimeUnit.SECONDS)
+      assert(seen != null, "the listener never saw the marker job")
+      seen
+    }
+    sc.addSparkListener(listener)
+    try { val before = mark(); body; mark() - before } finally sc.removeSparkListener(listener)
+  }
+
+  test("ρ(W) runs once per graph: endToEnd without rhoW starts as many jobs as with g.rho") {
+    val n = 40
+    val g = LocalGraphs.graph(spark, n, DenseRef.randomEdges(n, 100, seed = 5))
+    val truth = LocalGraphs.labels(spark, (0 until n).map(i => i -> i % 3).toMap)
+    val seeds = LocalGraphs.labels(spark, (0 until n).filter(_ % 4 == 0).map(i => i -> i % 3).toMap)
+    val hs = Seq(CompatibilityMatrix.planted(3, 8.0))
+    g.rho
+    val passed = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, rhoW = Some(g.rho)))
+    val cached = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs))
+    assert(passed > 0 && cached == passed, s"with rhoW: $passed jobs, without: $cached")
   }
 }

@@ -2,7 +2,7 @@ package repro.graphgen
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{CompatibilityMatrix, GraphOps}
+import repro.core.{CompatibilityMatrix, Sketch}
 import repro.eval.Accuracy
 
 class PlantedGraphSpec extends SparkSpec {
@@ -48,8 +48,7 @@ class PlantedGraphSpec extends SparkSpec {
   }
 
   test("block edge budgets follow alpha-weighted H (checked via class-pair counts)") {
-    val m1 = GraphOps.collapse(
-      gen.labels, GraphOps.multiply(gen.graph.edges, GraphOps.oneHot(gen.labels, 3)), 3)
+    val m1 = Sketch.compute(gen.graph, gen.labels, 3, 1).mFull(0)
     // With balanced alpha, edge-endpoint mass between (c,d) ∝ H_cd.
     val p = m1.rowNormalized
     for (c <- 0 until 3; d <- 0 until 3) {
@@ -86,8 +85,8 @@ class PlantedGraphSpec extends SparkSpec {
       PlantedGraph.generate(spark, 100, 500, Array(0.5, 0.4), h3))
   }
 
-  test("SynthData.plantedGraph convenience produces a balanced skew-h graph") {
-    val g = repro.SynthData.plantedGraph(spark, n = 600, avgDegree = 10, k = 3, hSkew = 8.0)
+  test("generate builds a balanced skew-h graph") {
+    val g = PlantedGraph.generate(spark, 600, 3000, balanced, h3)
     assert(g.labels.count() == 600)
     assert(math.abs(g.graph.m - 3000L) < 300, s"m=${g.graph.m}")
   }

@@ -16,14 +16,12 @@ class EndToEndSpec extends SparkSpec {
     spark, n = 5000, m = 25000, alpha = Array.fill(k)(1.0 / k), h = h,
     dist = DegreeDist.PowerLaw(0.3), seed = 77)
   private lazy val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-  private lazy val rho = GraphOps.spectralRadius(gen.graph)
 
   test("sparse labels: DCEr-estimated H labels within 0.05 of GS accuracy") {
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.01, seed = 1) // 50 of 5000
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val est = Estimators.dcer(sk, restarts = 10, seed = 2).h
-    val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho))
-    val accEst = Accuracy.endToEnd(gen.graph, gen.labels, seeds, est, rhoW = Some(rho))
+    val Seq(accGS, accEst) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, est))
     assert(accGS > 0.5, s"sanity: GS labeling works, got $accGS")
     assert(accEst > accGS - 0.05, s"DCEr $accEst vs GS $accGS")
   }
@@ -52,7 +50,7 @@ class EndToEndSpec extends SparkSpec {
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.02, seed = 5)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val est = Estimators.dcer(sk, restarts = 5, seed = 6).h
-    val accDcer = Accuracy.endToEnd(gen.graph, gen.labels, seeds, est, rhoW = Some(rho))
+    val Seq(accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(est))
     val accHarm = Accuracy.scoreBeliefs(
       Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
     assert(accDcer > accHarm + 0.1, s"DCEr $accDcer vs harmonic $accHarm")
@@ -66,9 +64,7 @@ class EndToEndSpec extends SparkSpec {
     val sk = Sketch.compute(g.graph, seeds, spec.k, lmax = 5)
     val est = Estimators.dcer(sk, restarts = 10, seed = 9).h
     assert(est.frobDist(gsRW) < 0.15, s"est:\n$est\ngs:\n$gsRW")
-    val rhoRW = GraphOps.spectralRadius(g.graph)
-    val accGS = Accuracy.endToEnd(g.graph, g.labels, seeds, gsRW, rhoW = Some(rhoRW))
-    val accEst = Accuracy.endToEnd(g.graph, g.labels, seeds, est, rhoW = Some(rhoRW))
+    val Seq(accGS, accEst) = Accuracy.endToEnd(g.graph, g.labels, seeds, Seq(gsRW, est))
     assert(accEst > accGS - 0.05, s"est $accEst vs GS $accGS")
   }
 
@@ -77,8 +73,7 @@ class EndToEndSpec extends SparkSpec {
     // performs comparably; this is the paper's favorable case.
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.02, seed = 10)
     val hHeur = Heuristics.twoValue(gs)
-    val accHeur = Accuracy.endToEnd(gen.graph, gen.labels, seeds, hHeur, rhoW = Some(rho))
-    val accGS = Accuracy.endToEnd(gen.graph, gen.labels, seeds, gs, rhoW = Some(rho))
+    val Seq(accHeur, accGS) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(hHeur, gs))
     assert(accHeur > accGS - 0.1, s"heuristic $accHeur vs GS $accGS on a two-valued GS")
   }
 }
