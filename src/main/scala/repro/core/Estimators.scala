@@ -144,7 +144,13 @@ object Estimators {
   /** Holdout baseline (§4.1): Nelder–Mead over the free parameters, where
     * each energy evaluation runs LinBP from Seedᵢ and scores accuracy on
     * Holdoutᵢ for b random 50/50 splits of the available labels:
-    * E(H) = −Σᵢ Acc_{Qᵢ}(H).
+    * E(H) = −Σᵢ Acc_{Qᵢ}(H). Split i puts a node into Seedᵢ when
+    * [[GraphOps.uniform]](seed, i, node) < 0.5, so the splits depend on the
+    * seed and the labels, not on how ``seedLabels`` is partitioned. The
+    * split index in the key keeps the split independent of
+    * [[repro.eval.Accuracy.sampleSeeds]], which draws (seed, node): under
+    * a shared seed the sampled seeds are the nodes with the smallest draws,
+    * and a split on the same draws would put all of them into Seedᵢ.
     *
     * Nelder–Mead hands over its independent points as one batch (the
     * initial simplex, a shrink), and each split labels and scores a whole
@@ -164,7 +170,7 @@ object Estimators {
       rhoW: Option[Double] = None): EstimationResult = {
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
     val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
-      val tagged = GraphOps.materialize(seedLabels.withColumn("__r", rand(seed + i) < 0.5))
+      val tagged = GraphOps.materialize(seedLabels.withColumn("__r", GraphOps.uniform(seed, lit(i), col("node")) < 0.5))
       (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     }
     def energies(batch: Seq[Array[Double]]): Seq[Double] = {

@@ -46,6 +46,18 @@ object GraphOps {
     */
   def materialize(df: DataFrame): DataFrame = df.localCheckpoint(true)
 
+  /** A uniform draw in [0, 1) for the row identified by ``key`` under
+    * ``seed``: the top 53 bits of xxhash64(seed, key…), times 2⁻⁵³. It
+    * depends only on the seed and the row's identity, so a row draws the
+    * same number however the rows are partitioned; `rand(seed)` instead
+    * seeds every partition with seed + partition index, and its draws
+    * follow the core count. Keys of different lengths give independent
+    * draws, so two uses that key the same rows stay independent under one
+    * seed when one of them adds a column to its key.
+    */
+  def uniform(seed: Long, key: Column*): Column =
+    shiftrightunsigned(xxhash64(lit(seed) +: key: _*), 11).cast("double") * lit(1.0 / (1L << 53))
+
   /** Names prefix0..prefix{k−1} of a wide matrix's value columns. */
   def names(k: Int, prefix: String = "v"): Seq[String] = (0 until k).map(j => s"$prefix$j")
 

@@ -15,11 +15,14 @@ import repro.linalg.Dense
 object Accuracy {
 
   /** Stratified seed sample: per class, ⌈max(1, round(f·n_c))⌉ nodes
-    * chosen uniformly (seeded, deterministic).
+    * chosen uniformly (seeded, deterministic). Each class keeps its nodes
+    * with the smallest draws [[GraphOps.uniform]](seed, node), ties broken
+    * by node id, so the sample depends on the seed and the labels, not on
+    * how ``labels`` is partitioned.
     */
   def sampleSeeds(labels: DataFrame, f: Double, seed: Long = 0): DataFrame = {
     require(f > 0 && f < 1, s"seed fraction must be in (0,1), got $f")
-    val w = Window.partitionBy("cls").orderBy(rand(seed))
+    val w = Window.partitionBy("cls").orderBy(GraphOps.uniform(seed, col("node")), col("node"))
     GraphOps.materialize(
       labels
         .withColumn("__rn", row_number().over(w))

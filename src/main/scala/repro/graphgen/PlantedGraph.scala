@@ -19,6 +19,10 @@ import repro.linalg.Dense
   *  - endpoints inside each block are drawn by inverse-CDF over the
   *    degree family, giving uniform or power-law degrees.
   *
+  * Each endpoint draw is [[GraphOps.uniform]] keyed by (seed, the edge's
+  * index in its block), not by the partitioning, so a seed gives the same
+  * edge set on any number of cores.
+  *
   * Deduplication and self-loop removal drop a small fraction of draws
   * (≲2% at the sparsities used here), so m is matched approximately; the
   * gold standard is therefore *measured* on the generated graph
@@ -59,8 +63,8 @@ object PlantedGraph {
     val blocks = pairs.zip(budgets).zipWithIndex.collect {
       case (((c, d), cnt), i) if cnt > 0 =>
         spark.range(cnt).select(
-          (lit(offsets(c)) + dist.rank(rand(seed + 2L * i), sizes(c))).as("src"),
-          (lit(offsets(d)) + dist.rank(rand(seed + 2L * i + 1), sizes(d))).as("dst"))
+          (lit(offsets(c)) + dist.rank(GraphOps.uniform(seed + 2L * i, col("id")), sizes(c))).as("src"),
+          (lit(offsets(d)) + dist.rank(GraphOps.uniform(seed + 2L * i + 1, col("id")), sizes(d))).as("dst"))
     }
     require(blocks.nonEmpty, "no block received a positive edge budget")
     val undirected = blocks.reduce(_ unionByName _)

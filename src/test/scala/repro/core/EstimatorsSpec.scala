@@ -183,9 +183,9 @@ class EstimatorsSpec extends SparkSpec {
   }
 
   test("batched Holdout matches one LinBP run and one score per evaluated H") {
-    import org.apache.spark.sql.functions.{col, rand}
+    import org.apache.spark.sql.functions.{col, lit}
     val seed = 10L
-    val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", rand(seed + 1) < 0.5))
+    val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", GraphOps.uniform(seed, lit(1), col("node")) < 0.5))
     val (seedPart, holdPart) = (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     def energy(hFree: Array[Double]): Double = {
       val f = LinBP.run(small.graph, seedPart, CompatibilityMatrix.fromFree(hFree, k))
@@ -196,6 +196,17 @@ class EstimatorsSpec extends SparkSpec {
     val res = Estimators.holdout(small.graph, smallSeeds, k, b = 1, maxEvals = 25, seed = seed)
     assert(res.h == CompatibilityMatrix.fromFree(ref.x, k), s"batched:\n${res.h}\nreference:\n${CompatibilityMatrix.fromFree(ref.x, k)}")
     assert(res.energy == ref.value && res.evals == ref.evals, s"$res vs $ref")
+  }
+
+  test("Holdout splits seeds sampled under the same seed into two non-empty parts") {
+    // The sampled seeds are the nodes with the smallest (seed, node) draws;
+    // a split on those same draws would send every seed to Seedᵢ and leave
+    // nothing to score, so every H would get energy 0.
+    val seeds = Accuracy.sampleSeeds(small.labels, 0.15, seed = 1)
+    Seq(0L, 1L).foreach { seed =>
+      val res = Estimators.holdout(small.graph, seeds, k, b = 1, maxEvals = 4, seed = seed)
+      assert(res.energy < 0.0, s"holdout seed $seed: energy ${res.energy}, the holdout part scored nothing")
+    }
   }
 
   test("Holdout fails clearly on a graph without edges (ρ(W) = 0)") {
