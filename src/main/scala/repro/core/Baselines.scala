@@ -1,12 +1,16 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.linalg.Dense
 
 /** Homophily-assuming SSL baselines (§2.4), used by the paper's sanity
   * check (Fig. 6i): on graphs with arbitrary compatibilities these
   * methods collapse, which is the motivation for compatibility-aware
   * propagation in the first place.
+  *
+  * Both iterate on the driver with one [[GraphOps.multiply]] per step and
+  * return the wide (node, v0, …, v{k−1}) beliefs, one row per node. An
+  * isolated node's 1/deg is 0.
   */
 object Baselines {
 
@@ -18,16 +22,16 @@ object Baselines {
       seedLabels: DataFrame,
       k: Int,
       iterations: Int = 20): DataFrame = {
-    import GraphOps.{named, scale, values}
-    val x = GraphOps.oneHot(seedLabels, k)
-    val clamp = x.select(col("node") +: lit(true).as("seed") +: named(values(k), "x"): _*)
+    val labels = GraphOps.collectLabels(seedLabels, g.n, k)
+    val x = labels.oneHot
+    val inv = inverseDegrees(g)
     var f = x
     for (_ <- 1 to iterations) {
-      f = GraphOps.materialize(GraphOps.multiply(g.edges, f, g.degrees, clamp).select(
-        col("node") +: named(values(k, "x").zip(scale(values(k), lit(1.0) / col("deg")))
-          .map { case (xj, avg) => when(col("seed"), xj).otherwise(avg) }): _*))
+      val next = scaleRows(GraphOps.multiply(g, f), inv)
+      for (node <- labels.nodes) System.arraycopy(x.data, node * k, next.data, node * k, k)
+      f = next
     }
-    f
+    GraphOps.wide(g.edges.sparkSession, Seq("v" -> f))
   }
 
   /** MultiRankWalk (Lin & Cohen [33]): per class c, a random walk with
@@ -40,21 +44,23 @@ object Baselines {
       k: Int,
       alpha: Double = 0.85,
       iterations: Int = 20): DataFrame = {
-    import GraphOps.{named, plus, scale, values}
-    val cls = GraphOps.checkedClass(col("cls"), k)
-    val u = GraphOps.materialize(
-      seedLabels
-        .join(seedLabels.groupBy("cls").agg(count(lit(1)).as("__cnt")), "cls")
-        .select(col("node") +: named((0 until k).map(j => when(cls === j, lit(1.0) / col("__cnt")).otherwise(0.0))): _*))
-    val restart = u.select(col("node") +: named(values(k), "u"): _*)
-    // F carries each node's degree, so W^col·F scales the sent rows by 1/deg.
-    var f = u.join(g.degrees, Seq("node"), "left")
+    val labels = GraphOps.collectLabels(seedLabels, g.n, k)
+    val perClass = labels.classes.groupBy(identity).map { case (c, members) => c -> members.length }
+    val u = GraphOps.zeros(g.n, k)
+    for ((node, c) <- labels.nodes.zip(labels.classes)) u.data(node * k + c) = 1.0 / perClass(c)
+    val inv = inverseDegrees(g)
+    var f = u
     for (_ <- 1 to iterations) {
-      val sent = f.select(col("node") +: named(scale(values(k), lit(1.0) / col("deg"))): _*)
-      f = GraphOps.materialize(GraphOps.multiply(g.edges, sent, g.degrees, restart).select(
-        (col("node") +: col("deg") +: named(plus(
-          scale(values(k, "u").map(coalesce(_, lit(0.0))), lit(1.0 - alpha)), scale(values(k), lit(alpha))))): _*))
+      // W^col·F = W·D⁻¹·F: every sent row is scaled by its node's 1/deg.
+      f = u.scale(1.0 - alpha) + GraphOps.multiply(g, scaleRows(f, inv)).scale(alpha)
     }
-    f.drop("deg")
+    GraphOps.wide(g.edges.sparkSession, Seq("v" -> f))
   }
+
+  /** 1/deg per node, 0 for an isolated node. */
+  private def inverseDegrees(g: SparseGraph): Array[Double] = g.degrees.map(d => if (d > 0) 1.0 / d else 0.0)
+
+  /** diag(s)·m: row i of ``m`` times s(i). */
+  private def scaleRows(m: Dense, s: Array[Double]): Dense =
+    new Dense(m.rows, m.cols, Array.tabulate(m.data.length)(e => m.data(e) * s(e / m.cols)))
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.eval.Accuracy
 import repro.linalg.Dense
 
@@ -144,10 +143,11 @@ object Estimators {
   /** Holdout baseline (§4.1): Nelder–Mead over the free parameters, where
     * each energy evaluation runs LinBP from Seedᵢ and scores accuracy on
     * Holdoutᵢ for b random 50/50 splits of the available labels:
-    * E(H) = −Σᵢ Acc_{Qᵢ}(H). Split i puts a node into Seedᵢ when
-    * [[GraphOps.uniform]](seed, i, node) < 0.5, so the splits depend on the
-    * seed and the labels, not on how ``seedLabels`` is partitioned. The
-    * split index in the key keeps the split independent of
+    * E(H) = −Σᵢ Acc_{Qᵢ}(H). The labels are collected once, and split i
+    * puts a node into Seedᵢ when [[GraphOps.uniformOf]](seed, i, node)
+    * < 0.5, on the driver, so the splits depend on the seed and the labels,
+    * not on how ``seedLabels`` is partitioned, and no seed enters a Spark
+    * plan. The split index in the key keeps the split independent of
     * [[repro.eval.Accuracy.sampleSeeds]], which draws (seed, node): under
     * a shared seed the sampled seeds are the nodes with the smallest draws,
     * and a split on the same draws would put all of them into Seedᵢ.
@@ -156,7 +156,8 @@ object Estimators {
     * initial simplex, a shrink), and each split labels and scores a whole
     * batch with one batched LinBP run and one query
     * ([[repro.eval.Accuracy.endToEnd]]). ρ(W) is ``rhoW`` if given, else
-    * the graph's own [[SparseGraph.rho]], and every batch uses it.
+    * the graph's own [[SparseGraph.rho]], and every batch uses it. A split
+    * with an empty holdout side fails the scoring, naming the cause.
     */
   def holdout(
       g: SparseGraph,
@@ -169,9 +170,10 @@ object Estimators {
       seed: Long = 0,
       rhoW: Option[Double] = None): EstimationResult = {
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
+    val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
-      val tagged = GraphOps.materialize(seedLabels.withColumn("__r", GraphOps.uniform(seed, lit(i), col("node")) < 0.5))
-      (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
+      val (seedPart, holdPart) = labels.nodes.indices.partition(r => GraphOps.uniformOf(seed, i, labels.nodes(r)) < 0.5)
+      (labels.select(seedPart).toDF(g.edges.sparkSession), labels.select(holdPart).toDF(g.edges.sparkSession))
     }
     def energies(batch: Seq[Array[Double]]): Seq[Double] = {
       val hs = batch.map(CompatibilityMatrix.fromFree(_, k))

@@ -1,7 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType, StructField, StructType}
+import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
 /** An undirected graph held as a DataFrame of directed edge pairs.
@@ -10,19 +14,23 @@ import repro.linalg.Dense
   * appears in both directions, there are no self-loops and no duplicates,
   * so W is the symmetric 0/1 adjacency matrix. Nodes are 0..n−1. Graphs
   * built by [[GraphOps.fromUndirected]] hold ``edges`` persisted and
-  * hash-partitioned by ``dst``, the key every hop joins on.
+  * hash-partitioned by ``dst``.
   */
 final case class SparseGraph(n: Long, edges: DataFrame) {
 
   /** Number of undirected edges m = |E|. */
   lazy val m: Long = edges.count() / 2
 
-  /** Node degrees (node: Long, deg: Double); degree-0 nodes are absent.
-    * W is symmetric, so degrees are counted per ``dst``, the key the edges
-    * are partitioned by: no exchange.
+  /** W as CSR blocks on the executors, one per edge partition, persisted.
+    * Built by the first job that reads it ([[GraphOps.adjacency]]).
     */
-  lazy val degrees: DataFrame = GraphOps.materialize(
-    edges.groupBy("dst").agg(count(lit(1)).cast("double").as("deg")).withColumnRenamed("dst", "node"))
+  lazy val adjacency: RDD[CsrBlock] = GraphOps.adjacency(edges)
+
+  /** Node degrees on the driver, n entries (0 for an isolated node): the
+    * CSR row lengths, W·1. The first call runs one job, which also builds
+    * [[adjacency]].
+    */
+  lazy val degrees: Array[Double] = GraphOps.degrees(this)
 
   /** Spectral radius ρ(W) ([[GraphOps.spectralRadius]], 25 iterations),
     * computed once per graph: LinBP and Holdout read it here.
@@ -30,21 +38,75 @@ final case class SparseGraph(n: Long, edges: DataFrame) {
   lazy val rho: Double = GraphOps.spectralRadius(this)
 }
 
-/** Distributed sparse linear algebra over the wide layout.
+/** One edge partition's rows of W in CSR form: node ``nodes(r)`` has the
+  * neighbours ``neighbours(offsets(r) until offsets(r + 1))``, in
+  * ascending order.
+  */
+final case class CsrBlock(nodes: Array[Int], offsets: Array[Int], neighbours: Array[Int])
+
+/** (node, cls) labels on the driver: ``nodes(i)`` has class ``classes(i)``,
+  * every node in [0, n) and every class in [0, k).
+  */
+final case class Labels(n: Long, k: Int, nodes: Array[Int], classes: Array[Int]) {
+
+  /** One-hot n×k matrix X: row e_cls for a labeled node, zero elsewhere. */
+  def oneHot: Dense = indicator(1.0, 0.0)
+
+  /** Centered label matrix X̃: a node labeled c gets the residual row
+    * e_c − 1/k (Section 3.1); unlabeled nodes stay all-zero.
+    */
+  def centeredOneHot: Dense = indicator(1.0 - 1.0 / k, -1.0 / k)
+
+  private def indicator(on: Double, off: Double): Dense = {
+    val out = GraphOps.zeros(n, k)
+    for (i <- nodes.indices) {
+      java.util.Arrays.fill(out.data, nodes(i) * k, nodes(i) * k + k, off)
+      out.data(nodes(i) * k + classes(i)) = on
+    }
+    out
+  }
+
+  /** The labels at positions ``rows``. */
+  def select(rows: Seq[Int]): Labels = copy(nodes = rows.map(nodes).toArray, classes = rows.map(classes).toArray)
+
+  /** The labels as a (node: Long, cls: Int) DataFrame held on the driver;
+    * collecting it starts no job.
+    */
+  def toDF(spark: SparkSession): DataFrame = {
+    val schema = StructType(Seq(StructField("node", LongType, nullable = false), StructField("cls", IntegerType, nullable = false)))
+    val rows = nodes.indices.map(i => Row(nodes(i).toLong, classes(i)))
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+  }
+}
+
+/** Sparse linear algebra: W on the executors, n×c matrices on the driver.
   *
-  * An n×k matrix (beliefs F, label matrix X, path counts N) is a DataFrame
-  * with one row per node, (node: Long, v0: Double, …, v{k−1}: Double);
-  * absent nodes are zero rows. Row-wise algebra (F·H, (D − c·I)·F, sums) is
-  * arithmetic over the k columns of a row, generated for the k at hand, so
-  * it needs no join, UDF or shuffle, and every plan stays plain SQL that the
-  * DuckDB oracle can check. Only W·F ([[multiply]]) moves data.
+  * W·F ([[multiply]]) is the one operation that touches the graph: F is
+  * broadcast, each CSR block of W sums its rows' neighbour rows, and the
+  * driver scatters the collected rows into the result. One job, no
+  * shuffle. Every iterate (ρ(W)'s vector, the sketch's path counts, LinBP's
+  * beliefs) is a [[Dense]] on the driver, and the row-wise algebra around a
+  * hop (F·H, (D − c·I)·F, sums) is array arithmetic there, so no constant
+  * of an iteration enters a Spark plan.
   */
 object GraphOps {
+
+  /** The largest JVM array length (HotSpot reserves a few header words). */
+  private val MaxArrayLength: Long = Int.MaxValue - 8
 
   /** Materialize and truncate lineage — required inside iterative loops,
     * where each step references the previous one (or two) results.
     */
   def materialize(df: DataFrame): DataFrame = df.localCheckpoint(true)
+
+  /** An n×c driver matrix of zeros, or a clear failure when its n·c
+    * entries do not fit one JVM array.
+    */
+  def zeros(n: Long, c: Int): Dense = {
+    require(n * c <= MaxArrayLength,
+      s"an n×c = $n×$c matrix does not fit one JVM array (at most $MaxArrayLength entries)")
+    Dense.zeros(n.toInt, c)
+  }
 
   /** A uniform draw in [0, 1) for the row identified by ``key`` under
     * ``seed``: the top 53 bits of xxhash64(seed, key…), times 2⁻⁵³. It
@@ -58,98 +120,145 @@ object GraphOps {
   def uniform(seed: Long, key: Column*): Column =
     shiftrightunsigned(xxhash64(lit(seed) +: key: _*), 11).cast("double") * lit(1.0 / (1L << 53))
 
+  /** [[uniform]](seed, lit(i), col(node)) on the driver, for an Int ``i``
+    * and a Long ``node``: xxhash64 folds its inputs left to right from the
+    * hash seed 42, each hashed as its own type.
+    */
+  def uniformOf(seed: Long, i: Int, node: Long): Double =
+    (XXH64.hashLong(node, XXH64.hashInt(i, XXH64.hashLong(seed, 42L))) >>> 11).toDouble * (1.0 / (1L << 53))
+
   /** Names prefix0..prefix{k−1} of a wide matrix's value columns. */
   def names(k: Int, prefix: String = "v"): Seq[String] = (0 until k).map(j => s"$prefix$j")
 
   /** The value columns of a wide matrix, as one row of k columns. */
   def values(k: Int, prefix: String = "v"): Seq[Column] = names(k, prefix).map(col)
 
-  /** Name a row of columns prefix0..prefix{k−1}. */
-  def named(row: Seq[Column], prefix: String = "v"): Seq[Column] =
-    row.zipWithIndex.map { case (c, j) => c.as(s"$prefix$j") }
-
-  // --- row algebra: one n×k matrix row is a Seq of k columns -------------
-
-  /** Elementwise sum of two rows. */
-  def plus(a: Seq[Column], b: Seq[Column]): Seq[Column] = a.zip(b).map { case (x, y) => x + y }
-
-  /** Elementwise difference a − b. */
-  def minus(a: Seq[Column], b: Seq[Column]): Seq[Column] = a.zip(b).map { case (x, y) => x - y }
-
-  /** Scalar (or per-row column) multiple. */
-  def scale(a: Seq[Column], s: Column): Seq[Column] = a.map(_ * s)
-
-  /** F·H — modulate a node's row by the k_in×k_out matrix H, whose entries
-    * enter the plan as literals: (r·H)_j = Σ_i r_i·H(i, j).
+  /** The (node, cls) rows of ``labels``, collected. A node id outside
+    * [0, n) or a class id outside [0, k) fails here, before it could land
+    * in the wrong row or column.
     */
-  def applyH(r: Seq[Column], h: Dense): Seq[Column] = {
-    require(r.length == h.rows, s"row has ${r.length} columns, H has ${h.rows} rows")
-    (0 until h.cols).map(j => r.indices.map(i => r(i) * lit(h(i, j))).reduce(_ + _))
-  }
-
-  /** (D − c·I)·F on one row: scale by (degree − c). */
-  def diagScale(r: Seq[Column], deg: Column, c: Column): Seq[Column] = scale(r, deg - c)
-
-  // --- n×k matrices -------------------------------------------------------
-
-  /** ``cls`` itself, or a query error when it lies outside [0, k). */
-  def checkedClass(cls: Column, k: Int): Column =
-    when(cls.between(0, k - 1), cls).otherwise(raise_error(
-      concat(lit(s"class id outside [0,$k): "), coalesce(cls.cast("string"), lit("null")))))
-
-  /** One-hot n×k matrix X from (node, cls) labels: row e_cls. A class id
-    * outside [0, k) fails the query that reads the matrix.
-    */
-  def oneHot(labels: DataFrame, k: Int): DataFrame = indicator(labels, k, 1.0, 0.0)
-
-  /** Centered label matrix X̃: a node labeled c gets the residual row
-    * e_c − 1/k (Section 3.1); unlabeled nodes stay absent (all-zero).
-    */
-  def centeredOneHot(labels: DataFrame, k: Int): DataFrame = indicator(labels, k, 1.0 - 1.0 / k, -1.0 / k)
-
-  private def indicator(labels: DataFrame, k: Int, on: Double, off: Double): DataFrame = {
-    val c = checkedClass(col("cls"), k)
-    labels.select(col("node") +: named((0 until k).map(j => when(c === j, on).otherwise(off))): _*)
-  }
-
-  /** W·F — one hop of message passing: every node sums its neighbours'
-    * rows of ``f``, all of whose columns but ``node`` are summed:
-    * `edges ⋈ f on dst` → `groupBy src`.
-    *
-    * Each node's own rows of ``own`` ride along in the same aggregation
-    * (merged column-wise by max, so frames with different columns combine
-    * into one row), which spares a join of the result against the node's
-    * previous state. Nodes with no neighbour in ``f`` sum to zero, and the
-    * sums are declared non-null, so a hop's output has the same schema as a
-    * frame built from non-null columns; nodes without an own row get nulls.
-    * On edges from [[fromUndirected]] the join exchanges only ``f`` (the
-    * hash-join build side), and the group-by only the partial sums.
-    */
-  def multiply(edges: DataFrame, f: DataFrame, own: DataFrame*): DataFrame = {
-    val sums = f.columns.toSeq.filter(_ != "node")
-    val carried = own.flatMap(_.schema.fields.filter(_.name != "node")).map(c => c.name -> c.dataType).distinct
-    def carry(o: Option[DataFrame]): Seq[Column] = carried.map { case (c, t) =>
-      if (o.exists(_.columns.contains(c))) col(c) else lit(null).cast(t).as(c)
+  def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = {
+    val rows = labels.select(col("node").cast("long"), col("cls").cast("int")).collect()
+    val nodes = new Array[Int](rows.length)
+    val classes = new Array[Int](rows.length)
+    for ((r, i) <- rows.zipWithIndex) {
+      val (node, cls) = (r.get(0), r.get(1))
+      require(cls != null && r.getInt(1) >= 0 && r.getInt(1) < k, s"class id outside [0,$k): $cls")
+      require(node != null && r.getLong(0) >= 0 && r.getLong(0) < n, s"node id outside [0,$n): $node")
+      nodes(i) = r.getLong(0).toInt
+      classes(i) = r.getInt(1)
     }
-    val messages = edges
-      .join(f.withColumnRenamed("node", "__n").hint("shuffle_hash"), col("dst") === col("__n"))
-      .select((col("src").as("node") +: sums.map(col)) ++ carry(None): _*)
-    val rows = own.map(o => o.select((col("node") +: sums.map(c => lit(0.0).as(c))) ++ carry(Some(o)): _*))
-    val aggs = sums.map(c => coalesce(sum(c), lit(0.0)).as(c)) ++ carried.map { case (c, _) => max(c).as(c) }
-    rows.foldLeft(messages)(_ unionByName _).groupBy("node").agg(aggs.head, aggs.tail: _*)
+    Labels(n, k, nodes, classes)
   }
 
-  /** A k×k driver matrix from per-class rows (c, M_c·) — class sums of an
-    * n×k matrix, collected. A class id outside [0, k) fails here, before
-    * it could land in the wrong cell.
+  /** W as CSR blocks, one per partition of ``edges``, persisted.
+    *
+    * W is symmetric, so the rows of W are the edges grouped by ``dst``:
+    * on edges hash-partitioned by ``dst`` ([[fromUndirected]]) each block
+    * holds whole rows and is built by a narrow pass over its partition, with
+    * no shuffle. Neighbours are sorted, so a row's sum runs in the same
+    * order however the edges were read.
     */
-  def classMatrix(k: Int, rows: Seq[(Int, Array[Double])]): Dense = {
-    val out = Dense.zeros(k, k)
-    for ((c, row) <- rows) {
-      require(c >= 0 && c < k, s"class id outside [0,$k): $c")
-      Array.copy(row, 0, out.data, c * k, k)
+  def adjacency(edges: DataFrame): RDD[CsrBlock] =
+    edges.select(col("dst").cast("long"), col("src").cast("long")).queryExecution.toRdd.mapPartitions { rows =>
+      // (row, neighbour) packed into one long: sorting it sorts by row, then neighbour.
+      val keys = rows.map(r => (r.getLong(0) << 32) | r.getLong(1)).toArray
+      java.util.Arrays.sort(keys)
+      val nodes = Array.newBuilder[Int]
+      val offsets = Array.newBuilder[Int]
+      val neighbours = new Array[Int](keys.length)
+      for (e <- keys.indices) {
+        if (e == 0 || (keys(e) >>> 32) != (keys(e - 1) >>> 32)) { nodes += (keys(e) >>> 32).toInt; offsets += e }
+        neighbours(e) = keys(e).toInt
+      }
+      offsets += keys.length
+      Iterator.single(CsrBlock(nodes.result(), offsets.result(), neighbours))
+    }.setName("adjacency").persist(StorageLevel.MEMORY_ONLY)
+
+  /** The degrees of ``g``'s nodes: its CSR row lengths, collected (one job). */
+  def degrees(g: SparseGraph): Array[Double] = {
+    val out = zeros(g.n, 1).data
+    for ((nodes, lengths) <- g.adjacency.map(b => (b.nodes, Array.tabulate(b.nodes.length)(r => b.offsets(r + 1) - b.offsets(r)))).collect())
+      for (r <- nodes.indices) out(nodes(r)) += lengths(r)
+    out
+  }
+
+  /** W·F for an n×c matrix ``f`` on the driver — one hop of message
+    * passing, where every node sums its neighbours' rows of ``f``.
+    *
+    * One job over [[SparseGraph.adjacency]]: ``f`` is broadcast, each CSR
+    * block computes its rows, and the rows are collected and scattered into
+    * the result (a node in no block has no neighbour and gets a zero row).
+    * The broadcast is destroyed after the job.
+    */
+  def multiply(g: SparseGraph, f: Dense): Dense = {
+    require(f.rows == g.n, s"F has ${f.rows} rows, the graph ${g.n} nodes")
+    val c = f.cols
+    val shared = g.edges.sparkSession.sparkContext.broadcast(f.data)
+    val rows =
+      try g.adjacency.map { b =>
+        val x = shared.value
+        val out = new Array[Double](b.nodes.length * c)
+        var r = 0
+        while (r < b.nodes.length) {
+          var e = b.offsets(r)
+          while (e < b.offsets(r + 1)) {
+            val from = b.neighbours(e) * c
+            var j = 0
+            while (j < c) { out(r * c + j) += x(from + j); j += 1 }
+            e += 1
+          }
+          r += 1
+        }
+        (b.nodes, out)
+      }.collect()
+      finally shared.destroy()
+    val out = zeros(g.n, c)
+    for ((nodes, sums) <- rows; r <- nodes.indices; j <- 0 until c) out.data(nodes(r) * c + j) += sums(r * c + j)
+    out
+  }
+
+  /** ``ms`` side by side: the n×(c₁ + c₂ + …) matrix [m₁ | m₂ | …]. */
+  def hcat(ms: Seq[Dense]): Dense = {
+    val n = ms.head.rows
+    require(ms.forall(_.rows == n), "every block must have the same rows")
+    val c = ms.map(_.cols).sum
+    val out = zeros(n, c)
+    var at = 0
+    for (m <- ms) {
+      for (i <- 0 until n) System.arraycopy(m.data, i * m.cols, out.data, i * c + at, m.cols)
+      at += m.cols
     }
     out
+  }
+
+  /** Columns ``from until from + c`` of ``m``. */
+  def columns(m: Dense, from: Int, c: Int): Dense = {
+    val out = zeros(m.rows, c)
+    for (i <- 0 until m.rows) System.arraycopy(m.data, i * m.cols + from, out.data, i * c, c)
+    out
+  }
+
+  /** A wide DataFrame (node, p0, …, p{c−1}, q0, …) with one row per node
+    * 0..n−1, from driver matrices with the same rows, each under its column
+    * prefix. Every column is declared non-null. The rows travel to the
+    * executors as one primitive array per partition.
+    */
+  def wide(spark: SparkSession, blocks: Seq[(String, Dense)]): DataFrame = {
+    val m = hcat(blocks.map(_._2))
+    val (n, c) = (m.rows, m.cols)
+    val schema = StructType(StructField("node", LongType, nullable = false) +: blocks.flatMap { case (p, b) =>
+      names(b.cols, p).map(StructField(_, DoubleType, nullable = false))
+    })
+    val parts = spark.sparkContext.defaultParallelism
+    val slices = (0 until parts).map { p =>
+      val (lo, hi) = ((n.toLong * p / parts).toInt, (n.toLong * (p + 1) / parts).toInt)
+      lo -> java.util.Arrays.copyOfRange(m.data, lo * c, hi * c)
+    }
+    val rows = spark.sparkContext.parallelize(slices, parts).flatMap { case (lo, data) =>
+      Iterator.range(0, data.length / c).map(r => Row.fromSeq((lo + r).toLong +: data.slice(r * c, r * c + c).toSeq))
+    }
+    spark.createDataFrame(rows, schema)
   }
 
   /** The index of a row's largest column; ties break toward the smallest
@@ -164,27 +273,21 @@ object GraphOps {
   def argmaxLabels(f: DataFrame): DataFrame =
     f.select(col("node"), argmax(values(f.columns.count(_.matches("v\\d+")))).as("cls"))
 
-  /** Spectral radius ρ(W) by distributed power iteration (symmetric W);
-    * 0.0 for a graph without edges.
+  /** Spectral radius ρ(W) by power iteration (symmetric W); 0.0 for a
+    * graph without edges.
     *
-    * The first product W·1 is the degree vector. Every later hop sends
-    * v/‖W·1‖, one constant for the whole call, so each hop of a call (and
-    * of a later call on the same graph) runs the same plan; the estimate
-    * after t products is ‖W·1‖·‖v_t‖/‖v_{t−1}‖ = ‖Wᵗ·1‖/‖Wᵗ⁻¹·1‖, as with
-    * normalizing at every step.
+    * The first product W·1 is the degree vector; every later one is one
+    * [[multiply]] of the previous product divided by its own norm, so the
+    * iterate keeps unit scale however many products run. The estimate after
+    * t products is the norm of the last one.
     */
   def spectralRadius(g: SparseGraph, iters: Int = 25): Double = {
-    // One job: a plain RDD fold needs no exchange, unlike a global agg.
-    def norm(v: DataFrame): Double =
-      math.sqrt(v.select(col("v") * col("v")).rdd.map(_.getDouble(0)).fold(0.0)(_ + _))
-    var v = g.degrees.withColumnRenamed("deg", "v")
-    val first = norm(v)
-    var (lambda, last) = (first, first)
-    for (_ <- 2 to iters if first > 0) {
-      v = materialize(multiply(g.edges, v.select(col("node"), (col("v") / lit(first)).as("v"))))
-      val next = norm(v)
-      lambda = first * next / last
-      last = next
+    def norm(v: Dense): Double = math.sqrt(v.data.foldLeft(0.0)((a, x) => a + x * x))
+    var v = new Dense(g.degrees.length, 1, g.degrees)
+    var lambda = norm(v)
+    for (_ <- 2 to iters if lambda > 0) {
+      v = multiply(g, v.scale(1 / lambda))
+      lambda = norm(v)
     }
     lambda
   }
@@ -209,31 +312,19 @@ object GraphOps {
     p
   }
 
-  /** Collect a wide n×k matrix into a dense driver matrix — tests and
-    * small-n reference checks only.
-    */
-  def collectDense(f: DataFrame, n: Int, k: Int): Dense = {
-    val out = Dense.zeros(n, k).data
-    f.select(col("node") +: values(k): _*).collect().foreach { r =>
-      for (j <- 0 until k) out(r.getLong(0).toInt * k + j) = r.getDouble(j + 1)
-    }
-    new Dense(n, k, out)
-  }
-
   /** Build a SparseGraph from an undirected edge list (one direction),
     * deduplicating, dropping self-loops and adding reverse edges.
     *
-    * The edges are hash-partitioned by ``dst`` and held persisted, so a hop
-    * scans them with no exchange. (A localCheckpoint would drop that
-    * partitioning.) The partition count is ``spark.sql.shuffle.partitions``
-    * capped at the default parallelism: the join of every hop runs one task
-    * per edge partition, and adaptive execution cannot coalesce a side it
-    * does not shuffle. Deduplication clusters on (src, dst), which the dst
-    * partitioning already satisfies. The input is checkpointed first, so no
-    * later plan over the edges carries the input's own plan along; a node
-    * id outside [0, n) fails that checkpoint. The checked ids are declared
-    * non-null (the check raises before the fallback could apply), so a hop's
-    * output keyed by them has the schema of a frame keyed by seed nodes.
+    * The edges are hash-partitioned by ``dst`` and held persisted, so
+    * [[adjacency]] builds whole rows of W from each partition with no
+    * exchange. (A localCheckpoint would drop that partitioning.) The
+    * partition count is ``spark.sql.shuffle.partitions`` capped at the
+    * default parallelism: every hop runs one task per partition.
+    * Deduplication clusters on (src, dst), which the dst partitioning
+    * already satisfies. The input is checkpointed first, so no later plan
+    * over the edges carries the input's own plan along; a node id outside
+    * [0, n) fails that checkpoint. The checked ids are declared non-null
+    * (the check raises before the fallback could apply).
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
     def checkedNode(c: String): Column = {

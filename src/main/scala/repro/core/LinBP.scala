@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.linalg.Dense
 
 /** Linearized Belief Propagation (Eq. 1 / Eq. 4), echo cancellation
@@ -19,13 +18,12 @@ object LinBP {
   val DefaultS = 0.5
 
   /** Run LinBP and return the final belief matrix F in the wide
-    * (node, v0, …, v{k−1}) layout: [[runMany]] with the one H, its block
-    * projected back to v0… A uniform H carries no signal, so F = X̃ and no
-    * hop runs.
+    * (node, v0, …, v{k−1}) layout, one row per node: [[beliefs]] with the
+    * one H. A uniform H carries no signal, so F = X̃ and no hop runs.
     *
     * @param g          the graph (symmetric adjacency)
     * @param seedLabels (node, cls) seed labels; a class id outside [0, k)
-    *                   fails the first iteration
+    *                   fails before any hop
     * @param h          compatibility matrix (centered or not — Thm. 3.1)
     * @param iterations fixed iteration count (paper: 10)
     * @param s          convergence parameter, ε = s/(ρ(W)·ρ(H̃))
@@ -39,27 +37,15 @@ object LinBP {
       iterations: Int = DefaultIterations,
       s: Double = DefaultS,
       rhoW: Option[Double] = None,
-      center: Boolean = true): DataFrame = {
-    import GraphOps.{named, values}
-    runMany(g, seedLabels, Seq(h), iterations, s, rhoW, center)
-      .select(col("node") +: named(values(h.rows, block(0))): _*)
-  }
+      center: Boolean = true): DataFrame =
+    GraphOps.wide(g.edges.sparkSession, Seq("v" -> beliefs(g, seedLabels, Seq(h), iterations, s, rhoW, center).head))
 
-  /** Column prefix of block i in the state of [[runMany]]: b{i}v0… */
+  /** Column prefix of block i in the result of [[runMany]]: b{i}v0… */
   def block(i: Int): String = s"b${i}v"
 
-  /** LinBP under every H of ``hs`` at once, from the same seeds: one wide
-    * state (node, b0v0, …, b0v{k−1}, b1v0, …) whose block i is the F under
-    * ``hs(i)`` (columns [[block]](i)).
-    *
-    * Each iteration is one hop of [[GraphOps.multiply]] for all blocks,
-    * carrying the node's own row of X̃ once; block i's `X̃ + ε_i·(W·F_i)·H̃_i`,
-    * with ε_i = s/(ρ(W)·ρ(H̃_i)), is column arithmetic on the summed row. A
-    * uniform H carries no signal: its block gets a zero effective H and
-    * stays X̃, which labels like F = X̃. When no block carries signal, no hop
-    * runs and ρ(W) is not needed. The initial state is checkpointed like
-    * every later one, so the first hop runs the plan of all others.
-    *
+  /** LinBP under every H of ``hs`` at once, from the same seeds, as one
+    * wide DataFrame (node, b0v0, …, b0v{k−1}, b1v0, …) with one row per
+    * node, whose block i is the F under ``hs(i)`` (columns [[block]](i)).
     * Parameters as for [[run]]; every H must be k×k for one k.
     */
   def runMany(
@@ -70,29 +56,45 @@ object LinBP {
       s: Double = DefaultS,
       rhoW: Option[Double] = None,
       center: Boolean = true): DataFrame = {
-    import GraphOps.{applyH, named, plus, values}
+    val fs = beliefs(g, seedLabels, hs, iterations, s, rhoW, center)
+    GraphOps.wide(g.edges.sparkSession, fs.indices.map(i => block(i) -> fs(i)))
+  }
+
+  /** The n×k belief matrices F under every H of ``hs``, on the driver.
+    *
+    * The seeds are collected once into X̃ (X when not centering). Each
+    * iteration is one [[GraphOps.multiply]] of all blocks side by side;
+    * block i's `X̃ + (W·F_i)·H_eff,i`, with H_eff,i = ε_i·H̃_i and
+    * ε_i = s/(ρ(W)·ρ(H̃_i)), is array arithmetic on the driver. A uniform H
+    * carries no signal: its block stays X̃, which labels like F = X̃, and is
+    * not propagated. When no block carries signal, no hop runs and ρ(W) is
+    * not needed.
+    */
+  private def beliefs(
+      g: SparseGraph,
+      seedLabels: DataFrame,
+      hs: Seq[Dense],
+      iterations: Int,
+      s: Double,
+      rhoW: Option[Double],
+      center: Boolean): Seq[Dense] = {
     require(hs.nonEmpty, "runMany needs at least one H")
     val k = hs.head.rows
     require(hs.forall(h => h.rows == k && h.cols == k), s"every H must be $k×$k")
-    lazy val rho = nonZeroRho(rhoW.getOrElse(g.rho))
-    val hEffs = hs.map { h =>
-      val hTilde = CompatibilityMatrix.centered(h)
-      val rhoH = hTilde.spectralRadius()
-      if (rhoH < 1e-12) Dense.zeros(k, k) else (if (center) hTilde else h).scale(s / (rho * rhoH))
-    }
-    val x = if (center) GraphOps.centeredOneHot(seedLabels, k) else GraphOps.oneHot(seedLabels, k)
-    val f0 = x.select(col("node") +: hs.indices.flatMap(i => named(values(k), block(i))): _*)
-    if (hEffs.forall(_.maxAbs == 0.0)) return f0
-    var f = GraphOps.materialize(f0)
-    val own = x.select(col("node") +: named(values(k), "x"): _*)
-    val xRow = values(k, "x").map(coalesce(_, lit(0.0))) // null: not a seed
-    val next = hEffs.zipWithIndex.flatMap { case (hEff, i) =>
-      named(plus(xRow, applyH(values(k, block(i)), hEff)), block(i))
-    }
+    val labels = GraphOps.collectLabels(seedLabels, g.n, k)
+    val x = if (center) labels.centeredOneHot else labels.oneHot
+    val rhoHs = hs.map(h => CompatibilityMatrix.centered(h).spectralRadius())
+    val live = hs.indices.filter(rhoHs(_) >= 1e-12)
+    if (live.isEmpty) return hs.map(_ => x)
+    val rho = nonZeroRho(rhoW.getOrElse(g.rho))
+    val hEffs = live.map { i => (if (center) CompatibilityMatrix.centered(hs(i)) else hs(i)).scale(s / (rho * rhoHs(i))) }
+    var fs = live.map(_ => x)
     for (_ <- 1 to iterations) {
-      f = GraphOps.materialize(GraphOps.multiply(g.edges, f, own).select(col("node") +: next: _*))
+      val wf = GraphOps.multiply(g, GraphOps.hcat(fs))
+      fs = hEffs.indices.map(b => x + GraphOps.columns(wf, b * k, k) * hEffs(b))
     }
-    f
+    val propagated = live.zip(fs).toMap
+    hs.indices.map(i => propagated.getOrElse(i, x))
   }
 
   /** ρ(W), or a clear failure when it is 0: on a graph without edges
@@ -103,16 +105,12 @@ object LinBP {
     rho
   }
 
-  /** LinBP energy E(F) = ‖F − X − W·F·H‖² (Prop. 3.2), for a given
-    * effective (already ε-scaled) H. Zero at the fixed point.
+  /** LinBP energy E(F) = ‖F − X − W·F·H‖² (Prop. 3.2) of the n×k driver
+    * matrices ``x`` and ``f``, for a given effective (already ε-scaled) H.
+    * Zero at the fixed point.
     */
-  def energy(g: SparseGraph, x: DataFrame, f: DataFrame, hEff: Dense): Double = {
-    import GraphOps.{applyH, minus, named, plus, values}
-    val k = hEff.rows
-    val own = Seq("x" -> x, "f" -> f).map { case (p, m) => m.select(col("node") +: named(values(k), p): _*) }
-    val Seq(xr, fr) = Seq("x", "f").map(values(k, _).map(coalesce(_, lit(0.0))))
-    val resid = minus(fr, plus(xr, applyH(values(k), hEff)))
-    val r = GraphOps.multiply(g.edges, f, own: _*).agg(sum(resid.map(e => e * e).reduce(_ + _))).first()
-    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
+  def energy(g: SparseGraph, x: Dense, f: Dense, hEff: Dense): Double = {
+    val resid = f - (x + GraphOps.multiply(g, f) * hEff)
+    resid.data.foldLeft(0.0)((a, e) => a + e * e)
   }
 }

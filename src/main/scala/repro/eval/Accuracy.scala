@@ -48,7 +48,8 @@ object Accuracy {
   /** For every prediction column, evaluated over ``predictions``, the
     * fraction of the (node, cls) rows of ``truth`` whose node is not in
     * ``seeds`` that get their true class; a node without a prediction
-    * counts as class 0.
+    * counts as class 0. Fails when no such row is left, where every
+    * accuracy would be 0/0.
     *
     * One job: the three tables are unioned and grouped by node, each node
     * keeping its truth, a seed flag and its predictions, since a join would
@@ -71,7 +72,8 @@ object Accuracy {
     val counts = byNode.values
       .collect { case (t, false, p) if t >= 0 => Array.tabulate(n)(i => if ((if (p == null) 0 else p(i)) == t) 1L else 0L) :+ 1L }
       .fold(new Array[Long](n + 1))((u, v) => Array.tabulate(n + 1)(i => u(i) + v(i)))
-    (0 until n).map(i => if (counts(n) == 0) 0.0 else counts(i).toDouble / counts(n))
+    require(counts(n) > 0, "nothing to score: every node of truth is a seed")
+    (0 until n).map(i => counts(i).toDouble / counts(n))
   }
 
   /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched

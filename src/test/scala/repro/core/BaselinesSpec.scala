@@ -59,6 +59,16 @@ class BaselinesSpec extends SparkSpec {
     assert(accLinBP > accMRW + 0.2, s"LinBP $accLinBP vs MRW $accMRW")
   }
 
+  test("an isolated node gets finite beliefs from harmonic and MultiRankWalk") {
+    // Nodes 3 and 4 have no edges, and node 3 is a seed: their 1/deg is 0.
+    val g = repro.testutil.LocalGraphs.graph(spark, 5, Seq((0, 1), (1, 2)))
+    val seeds = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0, 3 -> 1))
+    for (f <- Seq(Baselines.harmonic(g, seeds, 2, iterations = 3), Baselines.multiRankWalk(g, seeds, 2, iterations = 3))) {
+      val beliefs = repro.testutil.LocalGraphs.toDense(f, 5, 2)
+      assert(beliefs.data.forall(_.isFinite), beliefs.toString)
+    }
+  }
+
   test("MultiRankWalk restart vector is per-class normalized") {
     import org.apache.spark.sql.functions.sum
     import spark.implicits._

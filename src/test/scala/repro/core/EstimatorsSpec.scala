@@ -209,6 +209,14 @@ class EstimatorsSpec extends SparkSpec {
     }
   }
 
+  test("Holdout fails clearly when a split leaves its holdout side empty") {
+    // One seed, and a split seed that puts it into Seed₁: nothing is left to score.
+    val seed = (0L until 100L).find(GraphOps.uniformOf(_, 1, 0L) < 0.5).get
+    val one = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0))
+    val e = intercept[IllegalArgumentException](Estimators.holdout(small.graph, one, k, b = 1, maxEvals = 4, seed = seed))
+    assert(e.getMessage.contains("nothing to score"), e.getMessage)
+  }
+
   test("Holdout fails clearly on a graph without edges (ρ(W) = 0)") {
     import spark.implicits._
     val empty = GraphOps.fromUndirected(spark, 10, Seq.empty[(Long, Long)].toDF("src", "dst"))

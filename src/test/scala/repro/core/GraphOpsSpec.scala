@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.linalg.Dense
-import repro.testutil.{DenseRef, LocalGraphs}
+import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class GraphOpsSpec extends SparkSpec {
 
@@ -31,125 +31,86 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("degrees match the dense adjacency row sums") {
-    val degs = g.degrees.collect().map(r => r.getLong(0).toInt -> r.getDouble(1)).toMap
+    val degs = g.degrees
     val expected = w.rowSums
     (0 until n).foreach { i =>
-      assert(degs.getOrElse(i, 0.0) == expected(i), s"node $i")
+      assert(degs(i) == expected(i), s"node $i")
     }
   }
 
   test("degrees match the DuckDB oracle") {
+    import spark.implicits._
+    val degs = g.degrees.zipWithIndex.collect { case (d, i) if d > 0 => (i.toLong, d) }.toSeq.toDF("node", "deg")
     Oracle.assertEquivalent(
-      g.degrees,
+      degs,
       "SELECT src AS node, CAST(COUNT(*) AS DOUBLE) AS deg FROM edges GROUP BY src",
       "edges" -> g.edges)
   }
 
-  /** Select one generated row of columns as v0..v{k−1} beside node. */
-  private def rowOf(df: org.apache.spark.sql.DataFrame, row: Seq[org.apache.spark.sql.Column]) =
-    df.select(col("node") +: GraphOps.named(row): _*)
-
   test("multiply W·F matches the dense reference") {
     val f = DenseRef.random(n, 3, seed = 5)
-    val got = LocalGraphs.toDense(
-      GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f)), n, 3)
+    val got = GraphOps.multiply(g, f)
     assert(got.approxEquals(w * f, 1e-9))
   }
 
   test("multiply W·X matches the DuckDB oracle") {
-    val x = GraphOps.oneHot(labelsDf, 3)
+    val x = GraphOps.collectLabels(labelsDf, n, 3).oneHot
     val perClass = (0 until 3).map(j =>
       s"CAST(SUM(CASE WHEN x.cls = '$j' THEN 1 ELSE 0 END) AS DOUBLE) AS v$j").mkString(", ")
     Oracle.assertEquivalent(
-      GraphOps.multiply(g.edges, x),
+      LocalGraphs.wide(spark, GraphOps.multiply(g, x)),
       s"""SELECT e.src AS node, $perClass
          FROM edges e JOIN labels x ON e.dst = x.node
          GROUP BY e.src""",
       "edges" -> g.edges, "labels" -> labelsDf)
   }
 
-  test("multiply carries each node's own rows along") {
-    val f = DenseRef.random(n, 3, seed = 14)
-    val own = DenseRef.random(n, 2, seed = 15)
-    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, f),
-      LocalGraphs.wide(spark, own, "o"), g.degrees)
-    assert(LocalGraphs.toDense(hop, n, 3).approxEquals(w * f, 1e-9))
-    assert(LocalGraphs.toDense(rowOf(hop, GraphOps.values(2, "o")), n, 2).approxEquals(own, 0))
-    val degs = hop.select("node", "deg").collect().map(r => r.getLong(0).toInt -> r.getDouble(1)).toMap
-    assert((0 until n).forall(i => degs(i) == w.rowSums(i)))
+  test("one multiply runs one job in one stage and writes no shuffle bytes") {
+    val f = DenseRef.random(n, 3, seed = 16)
+    val built = LocalGraphs.graph(spark, n, edgeList)
+    built.degrees // builds the adjacency
+    val hop = SparkCounters.of(spark)(GraphOps.multiply(built, f))
+    assert(hop == SparkCounters.Counts(jobs = 1, stages = 1, shuffleWriteBytes = 0), hop.toString)
   }
 
-  test("one hop scans the fromUndirected edge table with no exchange") {
-    import org.apache.spark.sql.execution.{SparkPlan, joins}
-    import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
-    import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
-    import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-    val hop = GraphOps.multiply(g.edges, LocalGraphs.wide(spark, DenseRef.random(n, 3, seed = 16)))
-    hop.collect()
-    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
-      case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
-      case q: QueryStageExec => nodes(q.plan)
-      case o => o.children.flatMap(nodes)
-    })
-    // The edge scan is reached from an exchange only through the join.
-    def scanBelow(p: SparkPlan): Boolean = p match {
-      case _: InMemoryTableScanExec => true
-      case _: joins.BaseJoinExec => false
-      case a: AdaptiveSparkPlanExec => scanBelow(a.executedPlan)
-      case q: QueryStageExec => scanBelow(q.plan)
-      case o => o.children.exists(scanBelow)
+  test("spectralRadius(g, 5) on a fresh graph starts 5 jobs") {
+    val fresh = LocalGraphs.graph(spark, n, edgeList)
+    val jobs = SparkCounters.of(spark)(GraphOps.spectralRadius(fresh, 5)).jobs
+    assert(jobs == 5, s"$jobs jobs")
+  }
+
+  test("a perfect matching on 20 000 nodes has ρ(W) = 1 after 200 products") {
+    // ‖W·1‖ = √20000 ≈ 141 while ρ = 1: an iterate scaled by one constant
+    // shrinks by 1/141 per product and underflows long before 200.
+    val matching = LocalGraphs.graph(spark, 20000, (0 until 10000).map(i => (2 * i, 2 * i + 1)))
+    val rho = GraphOps.spectralRadius(matching, 200)
+    assert(math.abs(rho - 1.0) <= 1e-9, s"ρ = $rho")
+  }
+
+  test("uniformOf draws what uniform draws for (seed, i, node)") {
+    import spark.implicits._
+    val keys = for (seed <- Seq(0L, 10L, -3L); i <- Seq(1, 2); node <- Seq(0L, 7L, 123456789L)) yield (seed, i, node)
+    for ((seed, i, node) <- keys) {
+      val col = Seq(node).toDF("node").select(GraphOps.uniform(seed, lit(i), $"node")).first().getDouble(0)
+      assert(GraphOps.uniformOf(seed, i, node) == col, s"seed $seed, i $i, node $node")
     }
-    val plan = nodes(hop.queryExecution.executedPlan)
-    val exchanges = plan.collect { case e: ShuffleExchangeExec => e }
-    assert(plan.exists(_.isInstanceOf[InMemoryTableScanExec]), "the hop must read the persisted edges")
-    assert(plan.exists(_.isInstanceOf[joins.BaseJoinExec]))
-    assert(exchanges.nonEmpty && exchanges.forall(e => !scanBelow(e.child)),
-      s"an exchange re-shuffles the edge table:\n${hop.queryExecution.executedPlan}")
   }
 
-  test("applyH F·H matches the dense reference") {
-    val f = DenseRef.random(n, 3, seed = 6)
-    val h = DenseRef.random(3, 3, seed = 7)
-    val got = LocalGraphs.toDense(
-      rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(3), h)), n, 3)
-    assert(got.approxEquals(f * h, 1e-9))
-  }
-
-  test("applyH supports non-square H (k_in != k_out)") {
-    val f = DenseRef.random(n, 2, seed = 8)
-    val h = DenseRef.random(2, 4, seed = 9)
-    val got = LocalGraphs.toDense(
-      rowOf(LocalGraphs.wide(spark, f), GraphOps.applyH(GraphOps.values(2), h)), n, 4)
-    assert(got.approxEquals(f * h, 1e-9))
-  }
-
-  test("plus, minus and scale match the dense reference") {
-    val a = DenseRef.random(n, 3, seed = 10)
-    val b = DenseRef.random(n, 3, seed = 11)
-    val ab = LocalGraphs.wide(spark, a).join(LocalGraphs.wide(spark, b, "b"), "node")
-    val (va, vb) = (GraphOps.values(3), GraphOps.values(3, "b"))
-    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.plus(va, vb)), n, 3).approxEquals(a + b, 1e-9))
-    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.minus(va, vb)), n, 3).approxEquals(a - b, 1e-9))
-    assert(LocalGraphs.toDense(rowOf(ab, GraphOps.scale(va, lit(-2.5))), n, 3).approxEquals(a.scale(-2.5), 1e-9))
-  }
-
-  test("diagScale computes (D − c·I)·F") {
-    val f = DenseRef.random(n, 3, seed = 12)
-    val df = LocalGraphs.wide(spark, f).join(g.degrees, "node")
-    for (c <- Seq(0.0, 1.0)) {
-      val got = LocalGraphs.toDense(rowOf(df, GraphOps.diagScale(GraphOps.values(3), col("deg"), lit(c))), n, 3)
-      val expected = (DenseRef.degreeMatrix(w) - Dense.eye(n).scale(c)) * f
-      assert(got.approxEquals(expected, 1e-9), s"c=$c")
+  test("a graph whose n·k entries do not fit one JVM array fails clearly") {
+    val huge = SparseGraph(1L << 31, g.edges)
+    val h = CompatibilityMatrix.planted(3, 8.0)
+    for (body <- Seq(() => GraphOps.spectralRadius(huge), () => LinBP.run(huge, labelsDf, h, rhoW = Some(1.0)))) {
+      val e = intercept[IllegalArgumentException](body())
+      assert(e.getMessage.contains("does not fit one JVM array"), e.getMessage)
     }
   }
 
   test("oneHot and centeredOneHot match the dense reference") {
     val partial = labelMap.filter(_._1 < 10)
     val ldf = LocalGraphs.labels(spark, partial)
-    assert(LocalGraphs.toDense(GraphOps.oneHot(ldf, 3), n, 3)
-      .approxEquals(DenseRef.oneHot(n, 3, partial), 1e-12))
-    assert(LocalGraphs.toDense(GraphOps.centeredOneHot(ldf, 3), n, 3)
-      .approxEquals(DenseRef.centeredOneHot(n, 3, partial), 1e-12))
+    val collected = GraphOps.collectLabels(ldf, n, 3)
+    assert(collected.oneHot.approxEquals(DenseRef.oneHot(n, 3, partial), 1e-12))
+    assert(collected.centeredOneHot.approxEquals(DenseRef.centeredOneHot(n, 3, partial), 1e-12))
   }
 
   test("M⁽¹⁾ = XᵀWX matches the DuckDB oracle") {
@@ -207,7 +168,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("a class id outside [0,k) fails the query") {
     val bad = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 3))
-    val e = intercept[Exception](GraphOps.oneHot(bad, 3).collect())
+    val e = intercept[Exception](GraphOps.collectLabels(bad, n, 3))
     assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
       .exists(t => String.valueOf(t.getMessage).contains("class id outside [0,3): 3")), e.toString)
   }
@@ -234,6 +195,6 @@ class GraphOpsSpec extends SparkSpec {
 
   test("wide/collectDense round-trips") {
     val f = DenseRef.random(7, 4, seed = 21)
-    assert(LocalGraphs.toDense(LocalGraphs.wide(spark, f), 7, 4).approxEquals(f, 0))
+    assert(LocalGraphs.toDense(GraphOps.wide(spark, Seq("v" -> f)), 7, 4).approxEquals(f, 0))
   }
 }

@@ -1,9 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.linalg.Dense
-import repro.testutil.{DenseRef, LocalGraphs}
+import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class LinBPSpec extends SparkSpec {
 
@@ -15,6 +16,10 @@ class LinBPSpec extends SparkSpec {
   private lazy val labelMap = Map(0 -> 0, 7 -> 1, 13 -> 2, 21 -> 0, 28 -> 1)
   private lazy val labelsDf = LocalGraphs.labels(spark, labelMap)
   private lazy val h = CompatibilityMatrix.planted(3, 8.0)
+
+  /** Block i of a runMany result, as (node, v0, …, v{k−1}). */
+  private def blockOf(many: DataFrame, i: Int): DataFrame =
+    many.select(col("node") +: GraphOps.values(k, LinBP.block(i)).zipWithIndex.map { case (c, j) => c.as(s"v$j") }: _*)
 
   private def denseRun(iterations: Int, s: Double): Dense = {
     val hTilde = CompatibilityMatrix.centered(h)
@@ -89,7 +94,7 @@ class LinBPSpec extends SparkSpec {
     for (center <- Seq(true, false)) {
       val many = LinBP.runMany(g, labelsDf, hs, iterations = 4, rhoW = Some(rho), center = center)
       hs.zipWithIndex.foreach { case (hi, i) =>
-        val block = many.select(col("node") +: GraphOps.named(GraphOps.values(k, LinBP.block(i))): _*)
+        val block = blockOf(many, i)
         val one = LinBP.run(g, labelsDf, hi, iterations = 4, rhoW = Some(rho), center = center)
         assert(LocalGraphs.toDense(block, n, k).approxEquals(LocalGraphs.toDense(one, n, k), 1e-12),
           s"block $i, center = $center")
@@ -103,7 +108,7 @@ class LinBPSpec extends SparkSpec {
     val u = CompatibilityMatrix.uniform(k)
     val many = LinBP.runMany(empty, labelsDf, Seq(u, u))
     for (i <- 0 until 2) {
-      val block = many.select(col("node") +: GraphOps.named(GraphOps.values(k, LinBP.block(i))): _*)
+      val block = blockOf(many, i)
       assert(LocalGraphs.toDense(block, n, k).approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
     }
   }
@@ -112,18 +117,26 @@ class LinBPSpec extends SparkSpec {
     val hTilde = CompatibilityMatrix.centered(h)
     val rho = GraphOps.spectralRadius(g, 40)
     val eps = 0.5 / (rho * hTilde.spectralRadius())
-    val x = GraphOps.materialize(GraphOps.centeredOneHot(labelsDf, k))
+    val x = GraphOps.collectLabels(labelsDf, n, k).centeredOneHot
     val hEff = hTilde.scale(eps)
-    val e2 = LinBP.energy(g, x, LinBP.run(g, labelsDf, h, iterations = 2, rhoW = Some(rho)), hEff)
-    val e30 = LinBP.energy(g, x, LinBP.run(g, labelsDf, h, iterations = 30, rhoW = Some(rho)), hEff)
+    def f(iterations: Int) = LocalGraphs.toDense(LinBP.run(g, labelsDf, h, iterations = iterations, rhoW = Some(rho)), n, k)
+    val e2 = LinBP.energy(g, x, f(2), hEff)
+    val e30 = LinBP.energy(g, x, f(30), hEff)
     assert(e30 < e2, s"e30=$e30 e2=$e2")
     assert(e30 < 1e-4, s"energy should be near 0 at convergence, got $e30")
   }
 
   test("energy of the seed matrix itself is positive (not a fixed point)") {
     val hTilde = CompatibilityMatrix.centered(h)
-    val x = GraphOps.materialize(GraphOps.centeredOneHot(labelsDf, k))
+    val x = GraphOps.collectLabels(labelsDf, n, k).centeredOneHot
     assert(LinBP.energy(g, x, x, hTilde.scale(0.1)) > 0)
+  }
+
+  test("LinBP.run with 5 iterations starts 6 jobs: one collect of the seeds, one per iteration") {
+    val rho = g.rho // builds the adjacency
+    val seeds = GraphOps.materialize(labelsDf) // as sampleSeeds returns them
+    val jobs = SparkCounters.of(spark)(LinBP.run(g, seeds, h, iterations = 5, rhoW = Some(rho))).jobs
+    assert(jobs == 6, s"$jobs jobs")
   }
 
   test("seed labels themselves are preserved with strong self-belief") {

@@ -44,6 +44,18 @@ class PlanStabilitySpec extends SparkSpec {
     assert(compilations(LinBP.run(fresh, seeds, h, iterations = 6, rhoW = Some(rho)).count()) == 0)
   }
 
+  test("LinBP.run with a new H after a first run compiles nothing") {
+    val rho = GraphOps.spectralRadius(fresh, 5)
+    LinBP.run(fresh, seeds, h, iterations = 3, rhoW = Some(rho)).count()
+    val other = CompatibilityMatrix.planted(k, 2)
+    assert(compilations(LinBP.run(fresh, seeds, other, iterations = 3, rhoW = Some(rho)).count()) == 0)
+  }
+
+  test("a second Estimators.holdout with another seed compiles nothing") {
+    Estimators.holdout(fresh, seeds, k, maxEvals = 8, iterations = 3, seed = 1)
+    assert(compilations(Estimators.holdout(fresh, seeds, k, maxEvals = 8, iterations = 3, seed = 2)) == 0)
+  }
+
   test("Sketch.compute with ℓmax 5 after one with ℓmax 2 compiles nothing") {
     Sketch.compute(fresh, seeds, k, lmax = 2)
     assert(compilations(Sketch.compute(fresh, seeds, k, lmax = 5)) == 0)

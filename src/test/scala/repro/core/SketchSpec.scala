@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.linalg.Dense
-import repro.testutil.{DenseRef, LocalGraphs}
+import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class SketchSpec extends SparkSpec {
 
@@ -128,6 +128,13 @@ class SketchSpec extends SparkSpec {
     val sk1 = Sketch.compute(g, labelsDf, k, lmax = 1)
     assert(sk1.lmax == 1)
     assert(sk1.mFull(0).approxEquals(sketches.mFull(0), 1e-9))
+  }
+
+  test("Sketch.compute with ℓmax 5 starts 6 jobs: one collect of the seeds, one per ℓ") {
+    g.degrees // builds the adjacency
+    val seeds = GraphOps.materialize(labelsDf) // as sampleSeeds returns them
+    val jobs = SparkCounters.of(spark)(Sketch.compute(g, seeds, k, lmax = 5)).jobs
+    assert(jobs == 6, s"$jobs jobs")
   }
 
   test("compute rejects lmax < 1") {

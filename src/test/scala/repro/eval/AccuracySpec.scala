@@ -1,11 +1,9 @@
 package repro.eval
 
-import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.CompatibilityMatrix
-import repro.testutil.{DenseRef, LocalGraphs}
+import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class AccuracySpec extends SparkSpec {
 
@@ -55,6 +53,12 @@ class AccuracySpec extends SparkSpec {
     assert(Accuracy.accuracyOf(preds, truth, seeds) == 1.0)
   }
 
+  test("accuracyOf fails, naming the cause, when every node of truth is a seed") {
+    val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1))
+    val e = intercept[IllegalArgumentException](Accuracy.accuracyOf(truth, truth, truth))
+    assert(e.getMessage.contains("nothing to score"), e.getMessage)
+  }
+
   test("measuredGS on a hand-built graph matches hand-computed frequencies") {
     // Triangle 0–1, 1–2, 0–2 with classes 0,0,1:
     // M = [[2,2],[2,0]] → rows [0.5,0.5] and [1.0,0.0].
@@ -77,28 +81,8 @@ class AccuracySpec extends SparkSpec {
     assert(accGS > accWrong + 0.2, s"GS=$accGS wrong=$accWrong")
   }
 
-  /** The Spark jobs ``body`` starts. A listener sees job starts in order, so
-    * a marked job before and after ``body`` bounds the ones it started.
-    */
-  private def jobsOf(body: => Any): Int = {
-    val sc = spark.sparkContext
-    val marks = new LinkedBlockingQueue[Integer]
-    var started = 0
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (e.properties != null && e.properties.getProperty("jobsOf.mark") != null) marks.put(started)
-        else started += 1
-    }
-    def mark(): Int = {
-      sc.setLocalProperty("jobsOf.mark", "1")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("jobsOf.mark", null)
-      val seen = marks.poll(60, TimeUnit.SECONDS)
-      assert(seen != null, "the listener never saw the marker job")
-      seen
-    }
-    sc.addSparkListener(listener)
-    try { val before = mark(); body; mark() - before } finally sc.removeSparkListener(listener)
-  }
+  /** The Spark jobs ``body`` starts. */
+  private def jobsOf(body: => Any): Int = SparkCounters.of(spark)(body).jobs
 
   test("ρ(W) runs once per graph: endToEnd without rhoW starts as many jobs as with g.rho") {
     val n = 40

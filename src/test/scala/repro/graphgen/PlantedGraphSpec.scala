@@ -60,7 +60,7 @@ class PlantedGraphSpec extends SparkSpec {
     val genPl = PlantedGraph.generate(
       spark, 3000, 15000, balanced, h3, DegreeDist.PowerLaw(0.3), seed = 2)
     def maxDeg(g: repro.core.SparseGraph): Double =
-      g.degrees.agg(max("deg")).first().getDouble(0)
+      g.degrees.max
     assert(maxDeg(genPl.graph) > maxDeg(gen.graph) * 1.5,
       s"powerlaw max ${maxDeg(genPl.graph)} vs uniform ${maxDeg(gen.graph)}")
   }

@@ -24,12 +24,16 @@ object LocalGraphs {
   /** Wide (node, prefix0, …, prefix{k−1}) DataFrame from a dense n×k
     * matrix, one row per node.
     */
-  def wide(spark: SparkSession, m: Dense, prefix: String = "v"): DataFrame = {
-    import spark.implicits._
-    (0 until m.rows).map(i => (i.toLong, (0 until m.cols).map(m(i, _)))).toDF("node", "row")
-      .select(col("node") +: (0 until m.cols).map(j => col("row")(j).as(s"$prefix$j")): _*)
-  }
+  def wide(spark: SparkSession, m: Dense, prefix: String = "v"): DataFrame = GraphOps.wide(spark, Seq(prefix -> m))
 
-  /** Collect a wide DataFrame back to dense for comparison. */
-  def toDense(df: DataFrame, n: Int, k: Int): Dense = GraphOps.collectDense(df, n, k)
+  /** Collect a wide DataFrame back to dense for comparison; absent nodes
+    * are zero rows.
+    */
+  def toDense(df: DataFrame, n: Int, k: Int): Dense = {
+    val out = Dense.zeros(n, k).data
+    df.select(col("node") +: GraphOps.values(k): _*).collect().foreach { r =>
+      for (j <- 0 until k) out(r.getLong(0).toInt * k + j) = r.getDouble(j + 1)
+    }
+    new Dense(n, k, out)
+  }
 }
