@@ -18,17 +18,23 @@ object BFGS {
   /** @param x         final parameters
     * @param value     final objective value
     * @param gradNorm  final gradient L2 norm
-    * @param iters     iterations used
-    * @param converged true if gradNorm fell below the tolerance
+    * @param iters      iterations used
+    * @param converged  true if gradNorm fell below the tolerance
+    * @param backtracks Armijo step halvings, over all iterations
     */
   final case class Result(
       x: Array[Double],
       value: Double,
       gradNorm: Double,
       iters: Int,
-      converged: Boolean)
+      converged: Boolean,
+      backtracks: Int)
 
-  /** Minimize f by BFGS with Armijo backtracking. */
+  /** Minimize f by BFGS with Armijo backtracking. ``fg`` is called once at
+    * ``x0`` and once per trial point of the line search; the accepted
+    * point's value and gradient are kept, so a run costs
+    * 1 + iters + backtracks calls.
+    */
   def minimize(
       fg: Array[Double] => (Double, Array[Double]),
       x0: Array[Double],
@@ -55,9 +61,10 @@ object BFGS {
     }
 
     var it = 0
+    var backtracks = 0
     while (it < maxIters) {
       val gNorm = norm(gx)
-      if (gNorm <= gradTol) return Result(x, fx, gNorm, it, converged = true)
+      if (gNorm <= gradTol) return Result(x, fx, gNorm, it, converged = true, backtracks)
 
       var dir = matVec(hInv, gx).map(-_)
       var slope = dir.zip(gx).map { case (a, b) => a * b }.sum
@@ -70,17 +77,18 @@ object BFGS {
       // Armijo backtracking from the natural quasi-Newton step t = 1.
       var t = 1.0
       var bt = 0
-      var accepted = false
-      var xNew = x
-      while (!accepted && bt < maxBacktracks) {
+      var accepted: (Array[Double], Double, Array[Double]) = null
+      while (accepted == null && bt < maxBacktracks) {
         val cand = Array.tabulate(d)(i => x(i) + t * dir(i))
-        if (fg(cand)._1 <= fx + armijoC * t * slope) { accepted = true; xNew = cand }
+        val (fc, gc) = fg(cand)
+        if (fc <= fx + armijoC * t * slope) accepted = (cand, fc, gc)
         else { t /= 2.0; bt += 1 }
       }
+      backtracks += bt
       // No step decreases f: stop where we are, converged only if the gradient says so.
-      if (!accepted) return Result(x, fx, gNorm, it, converged = gNorm <= gradTol)
+      if (accepted == null) return Result(x, fx, gNorm, it, converged = gNorm <= gradTol, backtracks)
 
-      val (fx2, gx2) = fg(xNew)
+      val (xNew, fx2, gx2) = accepted
       val s = Array.tabulate(d)(i => xNew(i) - x(i))
       val y = Array.tabulate(d)(i => gx2(i) - gx(i))
       val sy = s.zip(y).map { case (a, b) => a * b }.sum
@@ -109,6 +117,6 @@ object BFGS {
       it += 1
     }
     val gNorm = norm(gx)
-    Result(x, fx, gNorm, it, converged = gNorm <= gradTol)
+    Result(x, fx, gNorm, it, converged = gNorm <= gradTol, backtracks)
   }
 }

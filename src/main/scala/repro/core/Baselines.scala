@@ -31,7 +31,7 @@ object Baselines {
       for (node <- labels.nodes) System.arraycopy(x.data, node * k, next.data, node * k, k)
       f = next
     }
-    GraphOps.wide(g.edges.sparkSession, Seq("v" -> f))
+    GraphOps.wide(g.edges.sparkSession, f)
   }
 
   /** MultiRankWalk (Lin & Cohen [33]): per class c, a random walk with
@@ -54,7 +54,7 @@ object Baselines {
       // W^col·F = W·D⁻¹·F: every sent row is scaled by its node's 1/deg.
       f = u.scale(1.0 - alpha) + GraphOps.multiply(g, scaleRows(f, inv)).scale(alpha)
     }
-    GraphOps.wide(g.edges.sparkSession, Seq("v" -> f))
+    GraphOps.wide(g.edges.sparkSession, f)
   }
 
   /** 1/deg per node, 0 for an isolated node. */

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.concurrent.{Await, Future}
+import scala.concurrent.duration.Duration
 import org.apache.spark.sql.DataFrame
 import repro.eval.Accuracy
 import repro.linalg.Dense
@@ -19,11 +21,33 @@ object Estimators {
   val DefaultLambda = 10.0
   val DefaultRestarts = 10
 
-  /** @param h       estimated compatibility matrix
-    * @param energy  final objective value
-    * @param evals   objective evaluations spent (restarts included)
+  /** @param h               estimated compatibility matrix
+    * @param energy          final objective value
+    * @param evals           optimizer iterations spent, restarts included
+    *                        (Holdout: objective evaluations)
+    * @param gradNorm        final gradient L2 norm of the kept run (NaN
+    *                        for the gradient-free Holdout)
+    * @param converged       the kept run's gradient fell below the tolerance
+    * @param iterations      iterations of the kept run
+    * @param restartEnergies DCEr: the final energy of every restart, in
+    *                        start order
     */
-  final case class EstimationResult(h: Dense, energy: Double, evals: Int)
+  final case class EstimationResult(
+      h: Dense,
+      energy: Double,
+      evals: Int,
+      gradNorm: Double = Double.NaN,
+      converged: Boolean = false,
+      iterations: Int = 0,
+      restartEnergies: Seq[Double] = Nil) {
+
+    /** Highest minus lowest restart energy; 0 without restarts. */
+    def restartSpread: Double = if (restartEnergies.isEmpty) 0.0 else restartEnergies.max - restartEnergies.min
+  }
+
+  /** The estimate at the optimum of a [[BFGS]] run. */
+  private def fromBFGS(r: BFGS.Result, k: Int): EstimationResult =
+    EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.iters, r.gradNorm, r.converged, r.iters)
 
   /** Distance weights w_ℓ = λ^{ℓ−1}, normalized to sum 1 (normalizing
     * rescales the objective without moving its optimum, and keeps
@@ -91,8 +115,7 @@ object Estimators {
       val g = (c * h).scale(2.0) - m1.scale(2.0)
       (e, CompatibilityMatrix.contractGradient(g))
     }
-    val r = BFGS.minimize(fg, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)))
-    EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.iters)
+    fromBFGS(BFGS.minimize(fg, CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k))), k)
   }
 
   /** Distant Compatibility Estimation (§4.4–4.5): fit H^ℓ against the
@@ -111,14 +134,28 @@ object Estimators {
     val targets = (1 to lmax).map(sk.pNB(_, variant))
     val w = weights(lmax, lambda)
     val x0 = init.getOrElse(CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(sk.k)))
-    val r = BFGS.minimize(dceEnergyGrad(targets, w), x0)
-    EstimationResult(CompatibilityMatrix.fromFree(r.x, sk.k), r.value, r.iters)
+    fromBFGS(BFGS.minimize(dceEnergyGrad(targets, w), x0), sk.k)
   }
 
-  /** DCE with restarts (§4.8): rerun DCE from points 1/k ± δ in random
-    * hyper-quadrants of the k*-dimensional parameter space (δ < 1/k²) and
-    * keep the lowest-energy solution. The first start is always the
-    * uniform point, so DCEr(r=1) ≡ DCE.
+  /** The DCEr start points (§4.8) in free parameters: the uniform point
+    * 1/k, then ``restarts`` − 1 points 1/k ± δ in random hyper-quadrants of
+    * the k*-dimensional parameter space (δ = 1/(2k²) < 1/k²), drawn from
+    * ``seed``.
+    */
+  def restartPoints(k: Int, restarts: Int, seed: Long): Seq[Array[Double]] = {
+    val rnd = new scala.util.Random(seed)
+    val delta = 0.5 / (k * k)
+    CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)) +:
+      Seq.fill(math.max(0, restarts - 1))(
+        Array.fill(CompatibilityMatrix.numFree(k))(1.0 / k + (if (rnd.nextBoolean()) delta else -delta)))
+  }
+
+  /** DCE with restarts (§4.8): rerun DCE from every [[restartPoints]] and
+    * keep the lowest-energy solution, the first on a tie. The first start
+    * is always the uniform point, so DCEr(r=1) ≡ DCE. The restarts are
+    * independent, so they run concurrently on the global execution context
+    * (one thread per core); their results are combined in start order, so
+    * the result does not depend on which finishes first.
     */
   def dcer(
       sk: Sketches,
@@ -127,17 +164,10 @@ object Estimators {
       variant: Int = 1,
       restarts: Int = DefaultRestarts,
       seed: Long = 0): EstimationResult = {
-    val k = sk.k
-    val kStar = CompatibilityMatrix.numFree(k)
-    val rnd = new scala.util.Random(seed)
-    val delta = 0.5 / (k * k)
-    val starts: Seq[Array[Double]] =
-      CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k)) +:
-        Seq.fill(math.max(0, restarts - 1))(
-          Array.fill(kStar)(1.0 / k + (if (rnd.nextBoolean()) delta else -delta)))
-    val results = starts.map(s0 => dce(sk, lmax, lambda, variant, init = Some(s0)))
-    val best = results.minBy(_.energy)
-    best.copy(evals = results.map(_.evals).sum)
+    import scala.concurrent.ExecutionContext.Implicits.global
+    val runs = restartPoints(sk.k, restarts, seed).map(s0 => Future(dce(sk, lmax, lambda, variant, init = Some(s0))))
+    val results = Await.result(Future.sequence(runs), Duration.Inf)
+    results.minBy(_.energy).copy(evals = results.map(_.evals).sum, restartEnergies = results.map(_.energy))
   }
 
   /** Holdout baseline (§4.1): Nelder–Mead over the free parameters, where
@@ -153,9 +183,11 @@ object Estimators {
     * and a split on the same draws would put all of them into Seedᵢ.
     *
     * Nelder–Mead hands over its independent points as one batch (the
-    * initial simplex, a shrink), and each split labels and scores a whole
-    * batch with one batched LinBP run and one query
-    * ([[repro.eval.Accuracy.endToEnd]]). ρ(W) is ``rhoW`` if given, else
+    * initial simplex, a shrink), and each split labels a whole batch with
+    * one batched LinBP run ([[LinBP.beliefs]]) and scores it on the driver
+    * ([[repro.eval.Accuracy.accuracies]]): both parts of a split are held on
+    * the driver, so a batch starts one job per LinBP iteration and no other.
+    * ρ(W) is ``rhoW`` if given, else
     * the graph's own [[SparseGraph.rho]], and every batch uses it. A split
     * with an empty holdout side fails the scoring, naming the cause.
     */
@@ -171,14 +203,14 @@ object Estimators {
       rhoW: Option[Double] = None): EstimationResult = {
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
-    val splits: Seq[(DataFrame, DataFrame)] = (1 to b).map { i =>
+    val splits = (1 to b).map { i =>
       val (seedPart, holdPart) = labels.nodes.indices.partition(r => GraphOps.uniformOf(seed, i, labels.nodes(r)) < 0.5)
-      (labels.select(seedPart).toDF(g.edges.sparkSession), labels.select(holdPart).toDF(g.edges.sparkSession))
+      (labels.select(seedPart), labels.select(holdPart))
     }
     def energies(batch: Seq[Array[Double]]): Seq[Double] = {
       val hs = batch.map(CompatibilityMatrix.fromFree(_, k))
       splits.map { case (seedPart, holdPart) =>
-        Accuracy.endToEnd(g, holdPart, seedPart, hs, iterations, s, Some(rho))
+        Accuracy.accuracies(holdPart, seedPart, LinBP.beliefs(g, seedPart, hs, iterations, s, Some(rho)))
       }.transpose.map(-_.sum)
     }
     val x0 = CompatibilityMatrix.toFree(CompatibilityMatrix.uniform(k))

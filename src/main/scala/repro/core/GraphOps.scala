@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, IntegerType, LongType, StructField, StructType}
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
@@ -18,8 +19,10 @@ import repro.linalg.Dense
   */
 final case class SparseGraph(n: Long, edges: DataFrame) {
 
-  /** Number of undirected edges m = |E|. */
-  lazy val m: Long = edges.count() / 2
+  /** Number of undirected edges m = |E|: half the sum of [[degrees]], so
+    * it starts no job once the degrees are known.
+    */
+  lazy val m: Long = (degrees.sum / 2).toLong
 
   /** W as CSR blocks on the executors, one per edge partition, persisted.
     * Built by the first job that reads it ([[GraphOps.adjacency]]).
@@ -68,15 +71,6 @@ final case class Labels(n: Long, k: Int, nodes: Array[Int], classes: Array[Int])
 
   /** The labels at positions ``rows``. */
   def select(rows: Seq[Int]): Labels = copy(nodes = rows.map(nodes).toArray, classes = rows.map(classes).toArray)
-
-  /** The labels as a (node: Long, cls: Int) DataFrame held on the driver;
-    * collecting it starts no job.
-    */
-  def toDF(spark: SparkSession): DataFrame = {
-    val schema = StructType(Seq(StructField("node", LongType, nullable = false), StructField("cls", IntegerType, nullable = false)))
-    val rows = nodes.indices.map(i => Row(nodes(i).toLong, classes(i)))
-    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
-  }
 }
 
 /** Sparse linear algebra: W on the executors, n×c matrices on the driver.
@@ -127,18 +121,35 @@ object GraphOps {
   def uniformOf(seed: Long, i: Int, node: Long): Double =
     (XXH64.hashLong(node, XXH64.hashInt(i, XXH64.hashLong(seed, 42L))) >>> 11).toDouble * (1.0 / (1L << 53))
 
-  /** Names prefix0..prefix{k−1} of a wide matrix's value columns. */
-  def names(k: Int, prefix: String = "v"): Seq[String] = (0 until k).map(j => s"$prefix$j")
+  /** Names v0..v{k−1} of a wide matrix's value columns. */
+  def names(k: Int): Seq[String] = (0 until k).map(j => s"v$j")
 
   /** The value columns of a wide matrix, as one row of k columns. */
-  def values(k: Int, prefix: String = "v"): Seq[Column] = names(k, prefix).map(col)
+  def values(k: Int): Seq[Column] = names(k).map(col)
 
   /** The (node, cls) rows of ``labels``, collected. A node id outside
     * [0, n) or a class id outside [0, k) fails here, before it could land
     * in the wrong row or column.
     */
-  def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = {
-    val rows = labels.select(col("node").cast("long"), col("cls").cast("int")).collect()
+  def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = labelsOf(collectLabelRows(Seq(labels)).head, n, k)
+
+  /** The (node: Long, cls: Int) rows of every table of ``tables``, read
+    * with at most one job: a table held on the driver (a local relation
+    * once optimized) is read without one, the others through one union,
+    * tagged by position. A class may be null.
+    */
+  def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[Row]] = {
+    val projected = tables.map(_.select(col("node").cast("long"), col("cls").cast("int")))
+    val remote = projected.indices.filterNot(i => projected(i).queryExecution.optimizedPlan.isInstanceOf[LocalRelation])
+    val read = remote.map(i => projected(i).withColumn("part", lit(i))).reduceOption(_ union _)
+      .fold(Map.empty[Int, Array[Row]])(_.collect().groupBy(_.getInt(2)))
+    projected.indices.map(i => if (remote.contains(i)) read.getOrElse(i, Array.empty[Row]) else projected(i).collect())
+  }
+
+  /** ``rows`` of (node, cls) as [[Labels]], failing on a node id outside
+    * [0, n) or a class id outside [0, k).
+    */
+  def labelsOf(rows: Array[Row], n: Long, k: Int): Labels = {
     val nodes = new Array[Int](rows.length)
     val classes = new Array[Int](rows.length)
     for ((r, i) <- rows.zipWithIndex) {
@@ -239,26 +250,16 @@ object GraphOps {
     out
   }
 
-  /** A wide DataFrame (node, p0, …, p{c−1}, q0, …) with one row per node
-    * 0..n−1, from driver matrices with the same rows, each under its column
-    * prefix. Every column is declared non-null. The rows travel to the
-    * executors as one primitive array per partition.
+  /** The n×c driver matrix ``m`` as a wide DataFrame (node, v0, …,
+    * v{c−1}) with one row per node 0..n−1, every column declared non-null.
+    * The rows stay on the driver as a local relation, so collecting the
+    * frame or a projection of it ([[argmaxLabels]]) starts no job.
     */
-  def wide(spark: SparkSession, blocks: Seq[(String, Dense)]): DataFrame = {
-    val m = hcat(blocks.map(_._2))
-    val (n, c) = (m.rows, m.cols)
-    val schema = StructType(StructField("node", LongType, nullable = false) +: blocks.flatMap { case (p, b) =>
-      names(b.cols, p).map(StructField(_, DoubleType, nullable = false))
-    })
-    val parts = spark.sparkContext.defaultParallelism
-    val slices = (0 until parts).map { p =>
-      val (lo, hi) = ((n.toLong * p / parts).toInt, (n.toLong * (p + 1) / parts).toInt)
-      lo -> java.util.Arrays.copyOfRange(m.data, lo * c, hi * c)
-    }
-    val rows = spark.sparkContext.parallelize(slices, parts).flatMap { case (lo, data) =>
-      Iterator.range(0, data.length / c).map(r => Row.fromSeq((lo + r).toLong +: data.slice(r * c, r * c + c).toSeq))
-    }
-    spark.createDataFrame(rows, schema)
+  def wide(spark: SparkSession, m: Dense): DataFrame = {
+    val c = m.cols
+    val schema = StructType(StructField("node", LongType, nullable = false) +: names(c).map(StructField(_, DoubleType, nullable = false)))
+    val rows = Array.tabulate[Row](m.rows)(i => Row.fromSeq(i.toLong +: m.data.slice(i * c, i * c + c).toSeq))
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
   }
 
   /** The index of a row's largest column; ties break toward the smallest
@@ -267,6 +268,16 @@ object GraphOps {
   def argmax(row: Seq[Column]): Column = {
     val top = greatest(row: _*)
     row.indices.tail.foldLeft(when(row.head === top, 0)) { (acc, j) => acc.when(row(j) === top, j) }
+  }
+
+  /** [[argmax]] of row ``i`` of ``m`` on the driver: the index of its
+    * largest entry, ties toward the smallest index.
+    */
+  def argmaxRow(m: Dense, i: Int): Int = {
+    val at = i * m.cols
+    var best = 0
+    for (j <- 1 until m.cols if m.data(at + j) > m.data(at + best)) best = j
+    best
   }
 
   /** argmax over classes: (node, cls) with the highest belief. */

@@ -18,8 +18,9 @@ object LinBP {
   val DefaultS = 0.5
 
   /** Run LinBP and return the final belief matrix F in the wide
-    * (node, v0, …, v{k−1}) layout, one row per node: [[beliefs]] with the
-    * one H. A uniform H carries no signal, so F = X̃ and no hop runs.
+    * (node, v0, …, v{k−1}) layout, one row per node, held on the driver
+    * ([[GraphOps.wide]]): [[beliefs]] with the one H. A uniform H carries no
+    * signal, so F = X̃ and no hop runs.
     *
     * @param g          the graph (symmetric adjacency)
     * @param seedLabels (node, cls) seed labels; a class id outside [0, k)
@@ -37,64 +38,58 @@ object LinBP {
       iterations: Int = DefaultIterations,
       s: Double = DefaultS,
       rhoW: Option[Double] = None,
-      center: Boolean = true): DataFrame =
-    GraphOps.wide(g.edges.sparkSession, Seq("v" -> beliefs(g, seedLabels, Seq(h), iterations, s, rhoW, center).head))
-
-  /** Column prefix of block i in the result of [[runMany]]: b{i}v0… */
-  def block(i: Int): String = s"b${i}v"
-
-  /** LinBP under every H of ``hs`` at once, from the same seeds, as one
-    * wide DataFrame (node, b0v0, …, b0v{k−1}, b1v0, …) with one row per
-    * node, whose block i is the F under ``hs(i)`` (columns [[block]](i)).
-    * Parameters as for [[run]]; every H must be k×k for one k.
-    */
-  def runMany(
-      g: SparseGraph,
-      seedLabels: DataFrame,
-      hs: Seq[Dense],
-      iterations: Int = DefaultIterations,
-      s: Double = DefaultS,
-      rhoW: Option[Double] = None,
       center: Boolean = true): DataFrame = {
-    val fs = beliefs(g, seedLabels, hs, iterations, s, rhoW, center)
-    GraphOps.wide(g.edges.sparkSession, fs.indices.map(i => block(i) -> fs(i)))
+    val seeds = GraphOps.collectLabels(seedLabels, g.n, h.rows)
+    GraphOps.wide(g.edges.sparkSession, beliefs(g, seeds, Seq(h), iterations, s, rhoW, center).head)
   }
 
-  /** The n×k belief matrices F under every H of ``hs``, on the driver.
+  /** The n×k belief matrices F under every H of ``hs``, from the same
+    * ``seeds``, on the driver. Parameters as for [[run]]; every H must be
+    * k×k for the seeds' k.
     *
-    * The seeds are collected once into X̃ (X when not centering). Each
+    * X̃ (X when not centering) is built once from the seeds. Each
     * iteration is one [[GraphOps.multiply]] of all blocks side by side;
     * block i's `X̃ + (W·F_i)·H_eff,i`, with H_eff,i = ε_i·H̃_i and
     * ε_i = s/(ρ(W)·ρ(H̃_i)), is array arithmetic on the driver. A uniform H
     * carries no signal: its block stays X̃, which labels like F = X̃, and is
     * not propagated. When no block carries signal, no hop runs and ρ(W) is
-    * not needed.
+    * not needed. A block with a non-finite belief after an iteration fails
+    * the run, naming the block and the iteration, since ε overshot the
+    * convergence bound of Eq. (2).
     */
-  private def beliefs(
+  def beliefs(
       g: SparseGraph,
-      seedLabels: DataFrame,
+      seeds: Labels,
       hs: Seq[Dense],
-      iterations: Int,
-      s: Double,
-      rhoW: Option[Double],
-      center: Boolean): Seq[Dense] = {
-    require(hs.nonEmpty, "runMany needs at least one H")
-    val k = hs.head.rows
+      iterations: Int = DefaultIterations,
+      s: Double = DefaultS,
+      rhoW: Option[Double] = None,
+      center: Boolean = true): Seq[Dense] = {
+    require(hs.nonEmpty, "beliefs needs at least one H")
+    val k = seeds.k
     require(hs.forall(h => h.rows == k && h.cols == k), s"every H must be $k×$k")
-    val labels = GraphOps.collectLabels(seedLabels, g.n, k)
-    val x = if (center) labels.centeredOneHot else labels.oneHot
+    val x = if (center) seeds.centeredOneHot else seeds.oneHot
     val rhoHs = hs.map(h => CompatibilityMatrix.centered(h).spectralRadius())
     val live = hs.indices.filter(rhoHs(_) >= 1e-12)
     if (live.isEmpty) return hs.map(_ => x)
     val rho = nonZeroRho(rhoW.getOrElse(g.rho))
     val hEffs = live.map { i => (if (center) CompatibilityMatrix.centered(hs(i)) else hs(i)).scale(s / (rho * rhoHs(i))) }
     var fs = live.map(_ => x)
-    for (_ <- 1 to iterations) {
+    for (t <- 1 to iterations) {
       val wf = GraphOps.multiply(g, GraphOps.hcat(fs))
       fs = hEffs.indices.map(b => x + GraphOps.columns(wf, b * k, k) * hEffs(b))
+      for (b <- fs.indices if !finite(fs(b).data))
+        throw new ArithmeticException(s"LinBP: non-finite belief in H block ${live(b)} at iteration $t " +
+          s"(ε = ${s / (rho * rhoHs(live(b)))}, ρ(W) = $rho): ε·ρ(W)·ρ(H̃) must stay below 1")
     }
     val propagated = live.zip(fs).toMap
     hs.indices.map(i => propagated.getOrElse(i, x))
+  }
+
+  private def finite(a: Array[Double]): Boolean = {
+    var i = 0
+    while (i < a.length && java.lang.Double.isFinite(a(i))) i += 1
+    i == a.length
   }
 
   /** ρ(W), or a clear failure when it is 0: on a graph without edges

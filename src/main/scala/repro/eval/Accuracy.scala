@@ -1,9 +1,10 @@
 package repro.eval
 
-import org.apache.spark.sql.{Column, DataFrame}
+import scala.collection.mutable
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.core.{GraphOps, LinBP, Sketch, SparseGraph}
+import repro.core.{GraphOps, Labels, LinBP, Sketch, SparseGraph}
 import repro.linalg.Dense
 
 /** End-to-end quality assessment (§5, "Quality assessment").
@@ -40,46 +41,50 @@ object Accuracy {
 
   /** Accuracy of predictions over labeled truth, excluding seed nodes.
     * Nodes that never received any belief default to class 0, matching
-    * an argmax over an all-zero row.
+    * an argmax over an all-zero row. The three tables are read with at most
+    * one job ([[GraphOps.collectLabelRows]]) and scored on the driver.
     */
-  def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double =
-    scores(truth, seeds, predictions, Seq(col("cls"))).head
+  def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double = {
+    val Seq(p, t, s) = GraphOps.collectLabelRows(Seq(predictions, truth, seeds))
+    val predicted = mutable.LongMap.empty[Int]
+    for (r <- p) predicted(r.getLong(0)) = if (r.isNullAt(1)) 0 else r.getInt(1)
+    val seed = mutable.LongMap.empty[Unit]
+    for (r <- s) seed(r.getLong(0)) = ()
+    scores(t.map(_.getLong(0)), t.map(_.getInt(1)), seed.contains, Seq(predicted.getOrElse(_, 0))).head
+  }
 
-  /** For every prediction column, evaluated over ``predictions``, the
-    * fraction of the (node, cls) rows of ``truth`` whose node is not in
-    * ``seeds`` that get their true class; a node without a prediction
-    * counts as class 0. Fails when no such row is left, where every
-    * accuracy would be 0/0.
-    *
-    * One job: the three tables are unioned and grouped by node, each node
-    * keeping its truth, a seed flag and its predictions, since a join would
-    * only mark rows. The union and the grouping are RDD operations over one
-    * scan per table, so the query compiles no class per union child and
-    * none for the grouping, and truth and seeds go through one projection.
+  /** For every predictor, the fraction of the truth rows (``nodes(i)`` of
+    * class ``classes(i)``) whose node is not a seed that it gives their
+    * class. Fails when no such row is left, where every accuracy would be
+    * 0/0.
     */
-  private def scores(truth: DataFrame, seeds: DataFrame, predictions: DataFrame, predicted: Seq[Column]): Seq[Double] = {
-    val n = predicted.length
-    type Marks = (Int, Boolean, Array[Int]) // truth class or −1, seed flag, predictions or null
-    def labels(df: DataFrame) = df.select(col("node"), col("cls").cast("int")).rdd.map(r => r.getLong(0) -> r.getInt(1))
-    val preds = predictions.select(col("node") +: predicted.map(coalesce(_, lit(0)).cast("int")): _*).rdd
-      .map(r => r.getLong(0) -> ((-1, false, Array.tabulate(n)(i => r.getInt(i + 1))): Marks))
-    val byNode = truth.sparkSession.sparkContext.union(
-        labels(truth).mapValues(c => (c, false, null): Marks),
-        labels(seeds).mapValues(_ => (-1, true, null): Marks),
-        preds)
-      .reduceByKey((u: Marks, v: Marks) => (math.max(u._1, v._1), u._2 || v._2, if (u._3 != null) u._3 else v._3))
-    // Per prediction column its hits, then the number of scored nodes.
-    val counts = byNode.values
-      .collect { case (t, false, p) if t >= 0 => Array.tabulate(n)(i => if ((if (p == null) 0 else p(i)) == t) 1L else 0L) :+ 1L }
-      .fold(new Array[Long](n + 1))((u, v) => Array.tabulate(n + 1)(i => u(i) + v(i)))
-    require(counts(n) > 0, "nothing to score: every node of truth is a seed")
-    (0 until n).map(i => counts(i).toDouble / counts(n))
+  private def scores(nodes: Array[Long], classes: Array[Int], isSeed: Long => Boolean, predictors: Seq[Long => Int]): Seq[Double] = {
+    val hits = new Array[Long](predictors.length)
+    var scored = 0L
+    for (i <- nodes.indices if !isSeed(nodes(i))) {
+      scored += 1
+      for (b <- predictors.indices if predictors(b)(nodes(i)) == classes(i)) hits(b) += 1
+    }
+    require(scored > 0, "nothing to score: every node of truth is a seed")
+    hits.toSeq.map(_.toDouble / scored)
+  }
+
+  /** Per belief matrix of ``fs`` (n×k, as [[LinBP.beliefs]] returns them),
+    * the fraction of ``truth``'s nodes outside ``seeds`` whose row's argmax
+    * ([[GraphOps.argmaxRow]]) is their class. Driver arithmetic, no job.
+    */
+  def accuracies(truth: Labels, seeds: Labels, fs: Seq[Dense]): Seq[Double] = {
+    val isSeed = new Array[Boolean](truth.n.toInt)
+    seeds.nodes.foreach(isSeed(_) = true)
+    scores(truth.nodes.map(_.toLong), truth.classes, node => isSeed(node.toInt),
+      fs.map(f => (node: Long) => GraphOps.argmaxRow(f, node.toInt)))
   }
 
   /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched
-    * run ([[LinBP.runMany]]), then score each H in one query against the
+    * run ([[LinBP.beliefs]]), then score each H on the driver against the
     * (node, cls) rows of ``truth`` whose node is not a seed: one accuracy
-    * per H.
+    * per H. Truth and seeds are read with at most one job; a node id
+    * outside [0, n) or a class id outside [0, k) in either fails there.
     */
   def endToEnd(
       g: SparseGraph,
@@ -89,9 +94,8 @@ object Accuracy {
       iterations: Int = LinBP.DefaultIterations,
       s: Double = LinBP.DefaultS,
       rhoW: Option[Double] = None): Seq[Double] = {
-    val k = hs.head.rows
-    val f = LinBP.runMany(g, seeds, hs, iterations, s, rhoW)
-    scores(truth, seeds, f, hs.indices.map(i => GraphOps.argmax(GraphOps.values(k, LinBP.block(i)))))
+    val Seq(t, sd) = GraphOps.collectLabelRows(Seq(truth, seeds)).map(GraphOps.labelsOf(_, g.n, hs.head.rows))
+    accuracies(t, sd, LinBP.beliefs(g, sd, hs, iterations, s, rhoW))
   }
 
   /** Score an arbitrary belief matrix (for the homophily baselines). */

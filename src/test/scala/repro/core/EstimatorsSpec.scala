@@ -171,6 +171,19 @@ class EstimatorsSpec extends SparkSpec {
     assert(a.frobDist(b) == 0.0)
   }
 
+  test("concurrent DCEr equals a sequential fold of DCE over the same starts, bit for bit") {
+    val seeds = Accuracy.sampleSeeds(gen.labels, 0.01, seed = 13)
+    val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
+    val sequential = Estimators.restartPoints(k, 10, seed = 14).map(s0 => Estimators.dce(sk, init = Some(s0)))
+    val best = sequential.minBy(_.energy)
+    val dcer = Estimators.dcer(sk, restarts = 10, seed = 14)
+    assert(dcer.h == best.h && dcer.energy == best.energy, s"concurrent:\n${dcer.h}\nsequential:\n${best.h}")
+    assert(dcer.evals == sequential.map(_.evals).sum)
+    assert(dcer.restartEnergies == sequential.map(_.energy))
+    assert(dcer.restartSpread == sequential.map(_.energy).max - sequential.map(_.energy).min)
+    assert(dcer.gradNorm == best.gradNorm && dcer.converged == best.converged && dcer.iterations == best.iterations)
+  }
+
   private lazy val small = PlantedGraph.generate(spark, 400, 2400, balanced, h,
     DegreeDist.Uniform, seed = 19)
   private lazy val smallSeeds = Accuracy.sampleSeeds(small.labels, 0.15, seed = 9)

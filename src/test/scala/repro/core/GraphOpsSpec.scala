@@ -23,6 +23,17 @@ class GraphOpsSpec extends SparkSpec {
     assert(sg.m == 2)
   }
 
+  test("m is half the degree sum: edges.count() / 2, with no job once the degrees are known") {
+    import spark.implicits._
+    val empty = GraphOps.fromUndirected(spark, 3, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    val star = LocalGraphs.graph(spark, 8, Seq((0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)))
+    for (graph <- Seq(LocalGraphs.graph(spark, n, edgeList), star, empty)) {
+      graph.degrees
+      assert(SparkCounters.of(spark)(graph.m).jobs == 0)
+      assert(graph.m == graph.edges.count() / 2)
+    }
+  }
+
   test("edges are exactly symmetric") {
     import spark.implicits._
     val e = g.edges.as[(Long, Long)].collect().toSet
@@ -58,7 +69,7 @@ class GraphOpsSpec extends SparkSpec {
     val perClass = (0 until 3).map(j =>
       s"CAST(SUM(CASE WHEN x.cls = '$j' THEN 1 ELSE 0 END) AS DOUBLE) AS v$j").mkString(", ")
     Oracle.assertEquivalent(
-      LocalGraphs.wide(spark, GraphOps.multiply(g, x)),
+      GraphOps.wide(spark, GraphOps.multiply(g, x)),
       s"""SELECT e.src AS node, $perClass
          FROM edges e JOIN labels x ON e.dst = x.node
          GROUP BY e.src""",
@@ -195,6 +206,6 @@ class GraphOpsSpec extends SparkSpec {
 
   test("wide/collectDense round-trips") {
     val f = DenseRef.random(7, 4, seed = 21)
-    assert(LocalGraphs.toDense(GraphOps.wide(spark, Seq("v" -> f)), 7, 4).approxEquals(f, 0))
+    assert(LocalGraphs.toDense(GraphOps.wide(spark, f), 7, 4).approxEquals(f, 0))
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.linalg.Dense
 import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
@@ -16,10 +14,6 @@ class LinBPSpec extends SparkSpec {
   private lazy val labelMap = Map(0 -> 0, 7 -> 1, 13 -> 2, 21 -> 0, 28 -> 1)
   private lazy val labelsDf = LocalGraphs.labels(spark, labelMap)
   private lazy val h = CompatibilityMatrix.planted(3, 8.0)
-
-  /** Block i of a runMany result, as (node, v0, …, v{k−1}). */
-  private def blockOf(many: DataFrame, i: Int): DataFrame =
-    many.select(col("node") +: GraphOps.values(k, LinBP.block(i)).zipWithIndex.map { case (c, j) => c.as(s"v$j") }: _*)
 
   private def denseRun(iterations: Int, s: Double): Dense = {
     val hTilde = CompatibilityMatrix.centered(h)
@@ -87,30 +81,33 @@ class LinBPSpec extends SparkSpec {
     assert(got.approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
   }
 
-  test("every block of runMany equals run with that H") {
+  test("every matrix of beliefs equals run with that H") {
     val rho = GraphOps.spectralRadius(g, 40)
     val hs = Seq(h, CompatibilityMatrix.uniform(k), CompatibilityMatrix.planted(3, 2.0),
       Dense.fromRows(Seq(Seq(0.2, 0.6, 0.2), Seq(0.6, 0.1, 0.3), Seq(0.2, 0.3, 0.5))))
+    val seeds = GraphOps.collectLabels(labelsDf, n, k)
     for (center <- Seq(true, false)) {
-      val many = LinBP.runMany(g, labelsDf, hs, iterations = 4, rhoW = Some(rho), center = center)
+      val many = LinBP.beliefs(g, seeds, hs, iterations = 4, rhoW = Some(rho), center = center)
       hs.zipWithIndex.foreach { case (hi, i) =>
-        val block = blockOf(many, i)
         val one = LinBP.run(g, labelsDf, hi, iterations = 4, rhoW = Some(rho), center = center)
-        assert(LocalGraphs.toDense(block, n, k).approxEquals(LocalGraphs.toDense(one, n, k), 1e-12),
-          s"block $i, center = $center")
+        assert(many(i).approxEquals(LocalGraphs.toDense(one, n, k), 1e-12), s"block $i, center = $center")
       }
     }
   }
 
-  test("runMany with only uniform H runs no hop and needs no ρ(W)") {
+  test("beliefs with only uniform H runs no hop and needs no ρ(W)") {
     import spark.implicits._
     val empty = GraphOps.fromUndirected(spark, n, Seq.empty[(Long, Long)].toDF("src", "dst"))
     val u = CompatibilityMatrix.uniform(k)
-    val many = LinBP.runMany(empty, labelsDf, Seq(u, u))
-    for (i <- 0 until 2) {
-      val block = blockOf(many, i)
-      assert(LocalGraphs.toDense(block, n, k).approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
-    }
+    val many = LinBP.beliefs(empty, GraphOps.collectLabels(labelsDf, n, k), Seq(u, u))
+    for (f <- many) assert(f.approxEquals(DenseRef.centeredOneHot(n, k, labelMap), 1e-12))
+  }
+
+  test("a non-finite belief fails the run, naming the H block and the iteration") {
+    // ρ(W) = 1e-40 makes ε ≈ 1e40: the beliefs grow by ~1e40 per
+    // iteration and overflow within 10 iterations.
+    val e = intercept[ArithmeticException](LinBP.run(g, labelsDf, h, rhoW = Some(1e-40)))
+    assert(e.getMessage.matches("(?s)LinBP: non-finite belief in H block 0 at iteration \\d+ .*"), e.getMessage)
   }
 
   test("Prop 3.2: the LinBP energy decreases toward the fixed point") {

@@ -23,6 +23,17 @@ class BFGSSpec extends AnyFunSuite {
     assert(math.abs(r.x(0)) < 1e-4 && math.abs(r.x(1)) < 1e-3)
   }
 
+  test("fg is called once per trial point: 1 + iterations + backtracks times on a quadratic") {
+    var calls = 0
+    def fg(x: Array[Double]) = {
+      calls += 1
+      (100 * x(0) * x(0) + x(1) * x(1), Array(200 * x(0), 2 * x(1)))
+    }
+    val r = BFGS.minimize(fg, Array(1.0, 1.0), maxIters = 5000, gradTol = 1e-8)
+    assert(r.converged && r.backtracks > 0, r.toString)
+    assert(calls == 1 + r.iters + r.backtracks, s"$calls calls, ${r.iters} iterations, ${r.backtracks} backtracks")
+  }
+
   test("descends on the Rosenbrock function") {
     def fg(x: Array[Double]) = {
       val (a, b) = (x(0), x(1))

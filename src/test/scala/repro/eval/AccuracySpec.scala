@@ -2,7 +2,8 @@ package repro.eval
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.CompatibilityMatrix
+import repro.core.{CompatibilityMatrix, GraphOps, LinBP}
+import repro.linalg.Dense
 import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class AccuracySpec extends SparkSpec {
@@ -94,5 +95,42 @@ class AccuracySpec extends SparkSpec {
     val passed = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, rhoW = Some(g.rho)))
     val cached = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs))
     assert(passed > 0 && cached == passed, s"with rhoW: $passed jobs, without: $cached")
+  }
+
+  test("accuracyOf over cached truth and seeds starts at most 1 job, with no shuffle stage") {
+    val n = 40
+    val g = LocalGraphs.graph(spark, n, DenseRef.randomEdges(n, 100, seed = 5))
+    val truth = LocalGraphs.labels(spark, (0 until n).map(i => i -> i % 3).toMap).cache()
+    val seeds = LocalGraphs.labels(spark, (0 until n).filter(_ % 4 == 0).map(i => i -> i % 3).toMap).cache()
+    try {
+      truth.count(); seeds.count()
+      val preds = GraphOps.argmaxLabels(LinBP.run(g, seeds, CompatibilityMatrix.planted(3, 8.0), rhoW = Some(g.rho)))
+      val counts = SparkCounters.of(spark)(Accuracy.accuracyOf(preds, truth, seeds))
+      assert(counts.jobs <= 1 && counts.stages == counts.jobs && counts.shuffleWriteBytes == 0, counts.toString)
+    } finally { truth.unpersist(); seeds.unpersist() } // later tests build the same tables as local relations
+  }
+
+  test("endToEnd with driver-held truth and seeds and an explicit rhoW starts one job per iteration") {
+    val n = 40
+    val g = LocalGraphs.graph(spark, n, DenseRef.randomEdges(n, 100, seed = 5))
+    val truth = LocalGraphs.labels(spark, (0 until n).map(i => i -> i % 3).toMap)
+    val seeds = LocalGraphs.labels(spark, (0 until n).filter(_ % 4 == 0).map(i => i -> i % 3).toMap)
+    val hs = Seq(CompatibilityMatrix.planted(3, 8.0), CompatibilityMatrix.planted(3, 2.0))
+    val rho = g.rho
+    for (iterations <- Seq(1, 4))
+      assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations, rhoW = Some(rho))) == iterations)
+  }
+
+  test("the driver argmax agrees with GraphOps.argmaxLabels on tied rows") {
+    val f = Dense.fromRows(Seq(
+      Seq(0.5, 0.5, 0.0), Seq(0.2, 0.9, 0.9), Seq(-1.0, -1.0, -1.0), Seq(0.3, 0.1, 0.3), Seq(0.0, -0.0, 0.0), Seq(0.1, 0.2, 0.3)))
+    val columns = GraphOps.argmaxLabels(GraphOps.wide(spark, f)).collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
+    for (i <- 0 until f.rows) assert(GraphOps.argmaxRow(f, i) == columns(i), s"row $i")
+    // Every node is scored under both rules; a wrong tie-break would change the count.
+    val truth = LocalGraphs.labels(spark, (0 until f.rows).map(i => i -> 0).toMap)
+    val seeds = LocalGraphs.labels(spark, Map(5 -> 2))
+    val driver = Accuracy.accuracies(GraphOps.collectLabels(truth, f.rows, 3), GraphOps.collectLabels(seeds, f.rows, 3), Seq(f))
+    assert(driver == Seq(Accuracy.accuracyOf(GraphOps.argmaxLabels(GraphOps.wide(spark, f)), truth, seeds)))
+    assert(driver == Seq(4.0 / 5))
   }
 }

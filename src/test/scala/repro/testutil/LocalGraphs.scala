@@ -21,11 +21,6 @@ object LocalGraphs {
     m.toSeq.map { case (node, cls) => (node.toLong, cls) }.toDF("node", "cls")
   }
 
-  /** Wide (node, prefix0, …, prefix{k−1}) DataFrame from a dense n×k
-    * matrix, one row per node.
-    */
-  def wide(spark: SparkSession, m: Dense, prefix: String = "v"): DataFrame = GraphOps.wide(spark, Seq(prefix -> m))
-
   /** Collect a wide DataFrame back to dense for comparison; absent nodes
     * are zero rows.
     */
