@@ -9,8 +9,7 @@ import repro.linalg.Dense
   * propagation in the first place.
   *
   * Both iterate on the driver with one [[GraphOps.multiply]] per step and
-  * return the wide (node, v0, …, v{k−1}) beliefs, one row per node. An
-  * isolated node's 1/deg is 0.
+  * return the n×k beliefs F there. An isolated node's 1/deg is 0.
   */
 object Baselines {
 
@@ -21,7 +20,7 @@ object Baselines {
       g: SparseGraph,
       seedLabels: DataFrame,
       k: Int,
-      iterations: Int = 20): DataFrame = {
+      iterations: Int = 20): Dense = {
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val x = labels.oneHot
     val inv = inverseDegrees(g)
@@ -31,7 +30,7 @@ object Baselines {
       for (node <- labels.nodes) System.arraycopy(x.data, node * k, next.data, node * k, k)
       f = next
     }
-    GraphOps.wide(g.edges.sparkSession, f)
+    f
   }
 
   /** MultiRankWalk (Lin & Cohen [33]): per class c, a random walk with
@@ -43,7 +42,7 @@ object Baselines {
       seedLabels: DataFrame,
       k: Int,
       alpha: Double = 0.85,
-      iterations: Int = 20): DataFrame = {
+      iterations: Int = 20): Dense = {
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val perClass = labels.classes.groupBy(identity).map { case (c, members) => c -> members.length }
     val u = GraphOps.zeros(g.n, k)
@@ -54,7 +53,7 @@ object Baselines {
       // W^col·F = W·D⁻¹·F: every sent row is scaled by its node's 1/deg.
       f = u.scale(1.0 - alpha) + GraphOps.multiply(g, scaleRows(f, inv)).scale(alpha)
     }
-    GraphOps.wide(g.edges.sparkSession, f)
+    f
   }
 
   /** 1/deg per node, 0 for an isolated node. */

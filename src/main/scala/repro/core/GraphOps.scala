@@ -5,7 +5,6 @@ import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
@@ -120,12 +119,6 @@ object GraphOps {
     */
   def uniformOf(seed: Long, i: Int, node: Long): Double =
     (XXH64.hashLong(node, XXH64.hashInt(i, XXH64.hashLong(seed, 42L))) >>> 11).toDouble * (1.0 / (1L << 53))
-
-  /** Names v0..v{k−1} of a wide matrix's value columns. */
-  def names(k: Int): Seq[String] = (0 until k).map(j => s"v$j")
-
-  /** The value columns of a wide matrix, as one row of k columns. */
-  def values(k: Int): Seq[Column] = names(k).map(col)
 
   /** The (node, cls) rows of ``labels``, collected. A node id outside
     * [0, n) or a class id outside [0, k) fails here, before it could land
@@ -250,39 +243,19 @@ object GraphOps {
     out
   }
 
-  /** The n×c driver matrix ``m`` as a wide DataFrame (node, v0, …,
-    * v{c−1}) with one row per node 0..n−1, every column declared non-null.
-    * The rows stay on the driver as a local relation, so collecting the
-    * frame or a projection of it ([[argmaxLabels]]) starts no job.
+  /** argmax over classes on the driver: every node 0..n−1 of the n×k
+    * beliefs ``f`` labeled with the index of its row's largest entry,
+    * k = f.cols. Ties break toward the smallest class, so results are
+    * deterministic.
     */
-  def wide(spark: SparkSession, m: Dense): DataFrame = {
-    val c = m.cols
-    val schema = StructType(StructField("node", LongType, nullable = false) +: names(c).map(StructField(_, DoubleType, nullable = false)))
-    val rows = Array.tabulate[Row](m.rows)(i => Row.fromSeq(i.toLong +: m.data.slice(i * c, i * c + c).toSeq))
-    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+  def argmaxLabels(f: Dense): Labels = {
+    val classes = Array.tabulate(f.rows) { i =>
+      var best = 0
+      for (j <- 1 until f.cols if f(i, j) > f(i, best)) best = j
+      best
+    }
+    Labels(f.rows, f.cols, Array.range(0, f.rows), classes)
   }
-
-  /** The index of a row's largest column; ties break toward the smallest
-    * index so results are deterministic. Null on an all-null row.
-    */
-  def argmax(row: Seq[Column]): Column = {
-    val top = greatest(row: _*)
-    row.indices.tail.foldLeft(when(row.head === top, 0)) { (acc, j) => acc.when(row(j) === top, j) }
-  }
-
-  /** [[argmax]] of row ``i`` of ``m`` on the driver: the index of its
-    * largest entry, ties toward the smallest index.
-    */
-  def argmaxRow(m: Dense, i: Int): Int = {
-    val at = i * m.cols
-    var best = 0
-    for (j <- 1 until m.cols if m.data(at + j) > m.data(at + best)) best = j
-    best
-  }
-
-  /** argmax over classes: (node, cls) with the highest belief. */
-  def argmaxLabels(f: DataFrame): DataFrame =
-    f.select(col("node"), argmax(values(f.columns.count(_.matches("v\\d+")))).as("cls"))
 
   /** Spectral radius ρ(W) by power iteration (symmetric W); 0.0 for a
     * graph without edges.

@@ -17,10 +17,9 @@ object LinBP {
   val DefaultIterations = 10 // §5.3
   val DefaultS = 0.5
 
-  /** Run LinBP and return the final belief matrix F in the wide
-    * (node, v0, …, v{k−1}) layout, one row per node, held on the driver
-    * ([[GraphOps.wide]]): [[beliefs]] with the one H. A uniform H carries no
-    * signal, so F = X̃ and no hop runs.
+  /** Run LinBP and return the final n×k belief matrix F on the driver:
+    * [[beliefs]] with the one H. A uniform H carries no signal, so F = X̃
+    * and no hop runs.
     *
     * @param g          the graph (symmetric adjacency)
     * @param seedLabels (node, cls) seed labels; a class id outside [0, k)
@@ -38,10 +37,8 @@ object LinBP {
       iterations: Int = DefaultIterations,
       s: Double = DefaultS,
       rhoW: Option[Double] = None,
-      center: Boolean = true): DataFrame = {
-    val seeds = GraphOps.collectLabels(seedLabels, g.n, h.rows)
-    GraphOps.wide(g.edges.sparkSession, beliefs(g, seeds, Seq(h), iterations, s, rhoW, center).head)
-  }
+      center: Boolean = true): Dense =
+    beliefs(g, GraphOps.collectLabels(seedLabels, g.n, h.rows), Seq(h), iterations, s, rhoW, center).head
 
   /** The n×k belief matrices F under every H of ``hs``, from the same
     * ``seeds``, on the driver. Parameters as for [[run]]; every H must be

@@ -1,6 +1,5 @@
 package repro.eval
 
-import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
@@ -39,45 +38,46 @@ object Accuracy {
   def measuredGS(g: SparseGraph, labels: DataFrame, k: Int): Dense =
     Sketch.compute(g, labels, k, 1).mFull(0).rowNormalized
 
-  /** Accuracy of predictions over labeled truth, excluding seed nodes.
-    * Nodes that never received any belief default to class 0, matching
-    * an argmax over an all-zero row. The three tables are read with at most
-    * one job ([[GraphOps.collectLabelRows]]) and scored on the driver.
+  /** Accuracy of ``predictions`` (one class per node) over the labeled
+    * ``truth``, excluding seed nodes. Truth and seeds are read with at most
+    * one job ([[GraphOps.collectLabelRows]]); a node id outside [0, n) or a
+    * class id outside [0, k) in either, for the predictions' n and k,
+    * fails there.
     */
-  def accuracyOf(predictions: DataFrame, truth: DataFrame, seeds: DataFrame): Double = {
-    val Seq(p, t, s) = GraphOps.collectLabelRows(Seq(predictions, truth, seeds))
-    val predicted = mutable.LongMap.empty[Int]
-    for (r <- p) predicted(r.getLong(0)) = if (r.isNullAt(1)) 0 else r.getInt(1)
-    val seed = mutable.LongMap.empty[Unit]
-    for (r <- s) seed(r.getLong(0)) = ()
-    scores(t.map(_.getLong(0)), t.map(_.getInt(1)), seed.contains, Seq(predicted.getOrElse(_, 0))).head
-  }
-
-  /** For every predictor, the fraction of the truth rows (``nodes(i)`` of
-    * class ``classes(i)``) whose node is not a seed that it gives their
-    * class. Fails when no such row is left, where every accuracy would be
-    * 0/0.
-    */
-  private def scores(nodes: Array[Long], classes: Array[Int], isSeed: Long => Boolean, predictors: Seq[Long => Int]): Seq[Double] = {
-    val hits = new Array[Long](predictors.length)
-    var scored = 0L
-    for (i <- nodes.indices if !isSeed(nodes(i))) {
-      scored += 1
-      for (b <- predictors.indices if predictors(b)(nodes(i)) == classes(i)) hits(b) += 1
-    }
-    require(scored > 0, "nothing to score: every node of truth is a seed")
-    hits.toSeq.map(_.toDouble / scored)
+  def accuracyOf(predictions: Labels, truth: DataFrame, seeds: DataFrame): Double = {
+    val Seq(t, s) = GraphOps.collectLabelRows(Seq(truth, seeds)).map(GraphOps.labelsOf(_, predictions.n, predictions.k))
+    scores(t, s, Seq(predictions)).head
   }
 
   /** Per belief matrix of ``fs`` (n×k, as [[LinBP.beliefs]] returns them),
     * the fraction of ``truth``'s nodes outside ``seeds`` whose row's argmax
-    * ([[GraphOps.argmaxRow]]) is their class. Driver arithmetic, no job.
+    * ([[GraphOps.argmaxLabels]]) is their class. Driver arithmetic, no job.
     */
-  def accuracies(truth: Labels, seeds: Labels, fs: Seq[Dense]): Seq[Double] = {
+  def accuracies(truth: Labels, seeds: Labels, fs: Seq[Dense]): Seq[Double] =
+    scores(truth, seeds, fs.map(GraphOps.argmaxLabels))
+
+  /** For every labeling of ``predictions``, each giving every node 0..n−1 a
+    * class, the fraction of the ``truth`` rows whose node is not a seed that
+    * it gives their class. Fails when no such row is left, where every
+    * accuracy would be 0/0.
+    */
+  private def scores(truth: Labels, seeds: Labels, predictions: Seq[Labels]): Seq[Double] = {
     val isSeed = new Array[Boolean](truth.n.toInt)
     seeds.nodes.foreach(isSeed(_) = true)
-    scores(truth.nodes.map(_.toLong), truth.classes, node => isSeed(node.toInt),
-      fs.map(f => (node: Long) => GraphOps.argmaxRow(f, node.toInt)))
+    val predicted = predictions.map { p =>
+      val byNode = Array.fill(p.n.toInt)(-1)
+      for (i <- p.nodes.indices) byNode(p.nodes(i)) = p.classes(i)
+      require(!byNode.contains(-1), "predictions must give every node a class")
+      byNode
+    }
+    val hits = new Array[Long](predicted.length)
+    var scored = 0L
+    for (i <- truth.nodes.indices if !isSeed(truth.nodes(i))) {
+      scored += 1
+      for (b <- predicted.indices if predicted(b)(truth.nodes(i)) == truth.classes(i)) hits(b) += 1
+    }
+    require(scored > 0, "nothing to score: every node of truth is a seed")
+    hits.toSeq.map(_.toDouble / scored)
   }
 
   /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched
@@ -97,8 +97,4 @@ object Accuracy {
     val Seq(t, sd) = GraphOps.collectLabelRows(Seq(truth, seeds)).map(GraphOps.labelsOf(_, g.n, hs.head.rows))
     accuracies(t, sd, LinBP.beliefs(g, sd, hs, iterations, s, rhoW))
   }
-
-  /** Score an arbitrary belief matrix (for the homophily baselines). */
-  def scoreBeliefs(beliefs: DataFrame, truth: DataFrame, seeds: DataFrame): Double =
-    accuracyOf(GraphOps.argmaxLabels(beliefs), truth, seeds)
 }

@@ -43,8 +43,8 @@ object T7Classes {
       val (dcer, tOpt) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)
       val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h))
-      val accHarm = Accuracy.scoreBeliefs(
-        Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
+      val accHarm = Accuracy.accuracyOf(
+        GraphOps.argmaxLabels(Baselines.harmonic(gen.graph, seeds, k)), gen.labels, seeds)
       Row(k, accGS, accDcer, accMce, accHarm, 1.0 / k, tSketch, tOpt)
     }
   }

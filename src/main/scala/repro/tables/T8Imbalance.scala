@@ -47,8 +47,8 @@ object T8Imbalance {
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
       val mce = Estimators.mce(sk)
       val Seq(accGS, accDcer, accMce) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, mce.h))
-      val accHarm = Accuracy.scoreBeliefs(
-        Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
+      val accHarm = Accuracy.accuracyOf(
+        GraphOps.argmaxLabels(Baselines.harmonic(gen.graph, seeds, k)), gen.labels, seeds)
       Row(f, accGS, accDcer, accMce, accHarm, PaperAlpha.max, dcer.h.frobDist(gs))
     }
   }

@@ -37,8 +37,8 @@ object T9Baselines {
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)
       val Seq(accGS, accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h))
       Row(f, accGS, accDcer,
-        Accuracy.scoreBeliefs(Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds),
-        Accuracy.scoreBeliefs(Baselines.multiRankWalk(gen.graph, seeds, k), gen.labels, seeds),
+        Accuracy.accuracyOf(GraphOps.argmaxLabels(Baselines.harmonic(gen.graph, seeds, k)), gen.labels, seeds),
+        Accuracy.accuracyOf(GraphOps.argmaxLabels(Baselines.multiRankWalk(gen.graph, seeds, k)), gen.labels, seeds),
         1.0 / k)
     }
   }

@@ -65,11 +65,12 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("multiply W·X matches the DuckDB oracle") {
-    val x = GraphOps.collectLabels(labelsDf, n, 3).oneHot
+    import spark.implicits._
+    val wx = GraphOps.multiply(g, GraphOps.collectLabels(labelsDf, n, 3).oneHot)
     val perClass = (0 until 3).map(j =>
       s"CAST(SUM(CASE WHEN x.cls = '$j' THEN 1 ELSE 0 END) AS DOUBLE) AS v$j").mkString(", ")
     Oracle.assertEquivalent(
-      GraphOps.wide(spark, GraphOps.multiply(g, x)),
+      (0 until n).map(i => (i.toLong, wx(i, 0), wx(i, 1), wx(i, 2))).toDF("node", "v0", "v1", "v2"),
       s"""SELECT e.src AS node, $perClass
          FROM edges e JOIN labels x ON e.dst = x.node
          GROUP BY e.src""",
@@ -139,14 +140,17 @@ class GraphOpsSpec extends SparkSpec {
   }
 
   test("argmaxLabels picks the max belief with ties to the smaller class") {
-    import spark.implicits._
-    val f = Seq(
-      (0L, 0.2, 0.9, 0.1),   // clear winner: 1
-      (1L, 0.5, 0.5, 0.0),   // tie: 0
-      (2L, -0.5, -0.3, -0.1) // negative beliefs: 2
-    ).toDF("node", "v0", "v1", "v2")
-    val got = GraphOps.argmaxLabels(f).as[(Long, Int)].collect().toMap
-    assert(got == Map(0L -> 1, 1L -> 0, 2L -> 2))
+    val f = Dense.fromRows(Seq(
+      Seq(0.2, 0.9, 0.1),    // clear winner: 1
+      Seq(0.5, 0.5, 0.0),    // tie: 0
+      Seq(-0.5, -0.3, -0.1), // negative beliefs: 2
+      Seq(0.2, 0.9, 0.9),    // tie between 1 and 2: 1
+      Seq(-1.0, -1.0, -1.0), // all tied: 0
+      Seq(0.3, 0.1, 0.3),    // tie between 0 and 2: 0
+      Seq(0.0, -0.0, 0.0)))  // signed zeros tie: 0
+    val got = GraphOps.argmaxLabels(f)
+    assert(got.n == f.rows && got.k == 3 && got.nodes.toSeq == (0 until f.rows))
+    assert(got.classes.toSeq == Seq(1, 0, 2, 1, 0, 0, 0))
   }
 
   test("distributed spectral radius matches the dense reference") {
@@ -202,10 +206,5 @@ class GraphOpsSpec extends SparkSpec {
         assert(p.getOrElse((i, j), 0.0) == expected(i, j), s"l=$l ($i,$j)")
       }
     }
-  }
-
-  test("wide/collectDense round-trips") {
-    val f = DenseRef.random(7, 4, seed = 21)
-    assert(LocalGraphs.toDense(GraphOps.wide(spark, f), 7, 4).approxEquals(f, 0))
   }
 }

@@ -2,8 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.{CompatibilityMatrix, GraphOps, LinBP}
-import repro.linalg.Dense
+import repro.core.{CompatibilityMatrix, GraphOps, Labels, LinBP}
 import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class AccuracySpec extends SparkSpec {
@@ -37,27 +36,41 @@ class AccuracySpec extends SparkSpec {
     intercept[IllegalArgumentException](Accuracy.sampleSeeds(labels, 1.0))
   }
 
+  /** A class for every node 0..n−1, ``classes(i)`` for node i. */
+  private def predict(k: Int, classes: Int*): Labels = Labels(classes.length, k, classes.indices.toArray, classes.toArray)
+
   test("accuracyOf scores only non-seed nodes") {
-    import spark.implicits._
     val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 0, 3 -> 1))
     val seeds = LocalGraphs.labels(spark, Map(0 -> 0))
-    // Predictions: node1 right, node2 wrong, node3 missing (defaults to 0 → wrong).
-    val preds = Seq((1L, 1), (2L, 1)).toDF("node", "cls")
-    val acc = Accuracy.accuracyOf(preds, truth, seeds)
+    // Predictions: node0 is a seed, node1 right, node2 wrong, node3 wrong.
+    val acc = Accuracy.accuracyOf(predict(2, 0, 1, 1, 0), truth, seeds)
     assert(math.abs(acc - 1.0 / 3) < 1e-12)
   }
 
   test("accuracyOf is 1.0 for perfect predictions") {
     val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 2))
     val seeds = LocalGraphs.labels(spark, Map(0 -> 0))
-    val preds = LocalGraphs.labels(spark, Map(1 -> 1, 2 -> 2))
-    assert(Accuracy.accuracyOf(preds, truth, seeds) == 1.0)
+    assert(Accuracy.accuracyOf(predict(3, 0, 1, 2), truth, seeds) == 1.0)
   }
 
   test("accuracyOf fails, naming the cause, when every node of truth is a seed") {
     val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1))
-    val e = intercept[IllegalArgumentException](Accuracy.accuracyOf(truth, truth, truth))
+    val e = intercept[IllegalArgumentException](Accuracy.accuracyOf(predict(2, 0, 1), truth, truth))
     assert(e.getMessage.contains("nothing to score"), e.getMessage)
+  }
+
+  test("accuracyOf fails on a truth class id outside [0,k)") {
+    val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 3))
+    val seeds = LocalGraphs.labels(spark, Map(0 -> 0))
+    val e = intercept[IllegalArgumentException](Accuracy.accuracyOf(predict(3, 0, 1, 2), truth, seeds))
+    assert(e.getMessage.contains("class id outside [0,3): 3"), e.getMessage)
+  }
+
+  test("accuracyOf fails on a truth node id outside [0,n)") {
+    val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 5 -> 0))
+    val seeds = LocalGraphs.labels(spark, Map(0 -> 0))
+    val e = intercept[IllegalArgumentException](Accuracy.accuracyOf(predict(3, 0, 1, 2), truth, seeds))
+    assert(e.getMessage.contains("node id outside [0,3): 5"), e.getMessage)
   }
 
   test("measuredGS on a hand-built graph matches hand-computed frequencies") {
@@ -119,18 +132,5 @@ class AccuracySpec extends SparkSpec {
     val rho = g.rho
     for (iterations <- Seq(1, 4))
       assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations, rhoW = Some(rho))) == iterations)
-  }
-
-  test("the driver argmax agrees with GraphOps.argmaxLabels on tied rows") {
-    val f = Dense.fromRows(Seq(
-      Seq(0.5, 0.5, 0.0), Seq(0.2, 0.9, 0.9), Seq(-1.0, -1.0, -1.0), Seq(0.3, 0.1, 0.3), Seq(0.0, -0.0, 0.0), Seq(0.1, 0.2, 0.3)))
-    val columns = GraphOps.argmaxLabels(GraphOps.wide(spark, f)).collect().map(r => r.getLong(0).toInt -> r.getInt(1)).toMap
-    for (i <- 0 until f.rows) assert(GraphOps.argmaxRow(f, i) == columns(i), s"row $i")
-    // Every node is scored under both rules; a wrong tie-break would change the count.
-    val truth = LocalGraphs.labels(spark, (0 until f.rows).map(i => i -> 0).toMap)
-    val seeds = LocalGraphs.labels(spark, Map(5 -> 2))
-    val driver = Accuracy.accuracies(GraphOps.collectLabels(truth, f.rows, 3), GraphOps.collectLabels(seeds, f.rows, 3), Seq(f))
-    assert(driver == Seq(Accuracy.accuracyOf(GraphOps.argmaxLabels(GraphOps.wide(spark, f)), truth, seeds)))
-    assert(driver == Seq(4.0 / 5))
   }
 }

@@ -51,8 +51,8 @@ class EndToEndSpec extends SparkSpec {
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val est = Estimators.dcer(sk, restarts = 5, seed = 6).h
     val Seq(accDcer) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(est))
-    val accHarm = Accuracy.scoreBeliefs(
-      Baselines.harmonic(gen.graph, seeds, k), gen.labels, seeds)
+    val accHarm = Accuracy.accuracyOf(
+      GraphOps.argmaxLabels(Baselines.harmonic(gen.graph, seeds, k)), gen.labels, seeds)
     assert(accDcer > accHarm + 0.1, s"DCEr $accDcer vs harmonic $accHarm")
   }
 
