@@ -3,6 +3,7 @@ package repro.eval
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core.{CompatibilityMatrix, GraphOps, Labels, LinBP}
+import repro.linalg.Dense
 import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
 
 class AccuracySpec extends SparkSpec {
@@ -132,5 +133,18 @@ class AccuracySpec extends SparkSpec {
     val rho = g.rho
     for (iterations <- Seq(1, 4))
       assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations, rhoW = Some(rho))) == iterations)
+  }
+
+  test("the driver argmax agrees with GraphOps.argmaxLabels on tied rows") {
+    val f = Dense.fromRows(Seq(
+      Seq(0.5, 0.5, 0.0), Seq(0.2, 0.9, 0.9), Seq(-1.0, -1.0, -1.0), Seq(0.3, 0.1, 0.3), Seq(0.0, -0.0, 0.0), Seq(0.1, 0.2, 0.3)))
+    val labeled = GraphOps.argmaxLabels(f)
+    assert(labeled.classes.toSeq == DenseRef.argmaxRows(f).toSeq)
+    // Every node is scored by both entry points; a wrong tie-break would change the count.
+    val truth = LocalGraphs.labels(spark, (0 until f.rows).map(i => i -> 0).toMap)
+    val seeds = LocalGraphs.labels(spark, Map(5 -> 2))
+    val driver = Accuracy.accuracies(GraphOps.collectLabels(truth, f.rows, 3), GraphOps.collectLabels(seeds, f.rows, 3), Seq(f))
+    assert(driver == Seq(Accuracy.accuracyOf(labeled, truth, seeds)))
+    assert(driver == Seq(4.0 / 5))
   }
 }
