@@ -189,7 +189,7 @@ object Estimators {
     * the driver, so a batch starts one job per LinBP iteration and no other.
     * ρ(W) is ``rhoW`` if given, else
     * the graph's own [[SparseGraph.rho]], and every batch uses it. A split
-    * with an empty holdout side fails the scoring, naming the cause.
+    * with no seeds fails, naming it; one with nothing held out fails scoring.
     */
   def holdout(
       g: SparseGraph,
@@ -205,6 +205,7 @@ object Estimators {
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val splits = (1 to b).map { i =>
       val (seedPart, holdPart) = labels.nodes.indices.partition(r => GraphOps.uniformOf(seed, i, labels.nodes(r)) < 0.5)
+      require(seedPart.nonEmpty, s"Holdout split $i of $b has no seeds: all ${labels.nodes.length} labels fell on its holdout side")
       (labels.select(seedPart), labels.select(holdPart))
     }
     def energies(batch: Seq[Array[Double]]): Seq[Double] = {

@@ -8,36 +8,46 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
-/** An undirected graph held as a DataFrame of directed edge pairs.
-  *
-  * ``edges`` has columns (src: Long, dst: Long); every undirected edge
-  * appears in both directions, there are no self-loops and no duplicates,
-  * so W is the symmetric 0/1 adjacency matrix. Nodes are 0..n−1. Graphs
-  * built by [[GraphOps.fromUndirected]] hold ``edges`` persisted and
-  * hash-partitioned by ``dst``.
+/** An undirected graph on nodes 0..n−1, held once: its symmetric 0/1
+  * adjacency matrix W as persisted CSR blocks on the executors, with no
+  * self-loops or duplicate edges ([[GraphOps.fromUndirected]] builds one).
   */
-final case class SparseGraph(n: Long, edges: DataFrame) {
+final class SparseGraph(val n: Long, val adjacency: RDD[CsrBlock]) {
+
+  /** W as a (src: Long, dst: Long) DataFrame, every edge in both
+    * directions: a view of [[adjacency]], flattened block by block.
+    */
+  lazy val edges: DataFrame = SparkSession.active.createDataFrame(adjacency.flatMap(b =>
+    for (r <- b.nodes.indices.iterator; e <- b.offsets(r) until b.offsets(r + 1)) yield (b.neighbours(e).toLong, b.nodes(r).toLong)))
+    .toDF("src", "dst")
 
   /** Number of undirected edges m = |E|: half the sum of [[degrees]], so
     * it starts no job once the degrees are known.
     */
   lazy val m: Long = (degrees.sum / 2).toLong
 
-  /** W as CSR blocks on the executors, one per edge partition, persisted.
-    * Built by the first job that reads it ([[GraphOps.adjacency]]).
-    */
-  lazy val adjacency: RDD[CsrBlock] = GraphOps.adjacency(edges)
-
   /** Node degrees on the driver, n entries (0 for an isolated node): the
-    * CSR row lengths, W·1. The first call runs one job, which also builds
-    * [[adjacency]].
+    * CSR row lengths, W·1, collected with one job.
     */
-  lazy val degrees: Array[Double] = GraphOps.degrees(this)
+  lazy val degrees: Array[Double] = {
+    val out = GraphOps.zeros(n, 1).data
+    for ((nodes, lengths) <- adjacency.map(b => (b.nodes, Array.tabulate(b.nodes.length)(r => b.offsets(r + 1) - b.offsets(r)))).collect())
+      for (r <- nodes.indices) out(nodes(r)) += lengths(r)
+    out
+  }
 
   /** Spectral radius ρ(W) ([[GraphOps.spectralRadius]], 25 iterations),
     * computed once per graph: LinBP and Holdout read it here.
     */
   lazy val rho: Double = GraphOps.spectralRadius(this)
+}
+
+object SparseGraph {
+
+  /** The graph of a (src, dst) table with every edge in both directions,
+    * such as [[SparseGraph.edges]]; the first job that reads it builds it.
+    */
+  def apply(n: Long, edges: DataFrame): SparseGraph = new SparseGraph(n, GraphOps.adjacency(edges))
 }
 
 /** One edge partition's rows of W in CSR form: node ``nodes(r)`` has the
@@ -139,6 +149,12 @@ object GraphOps {
     projected.indices.map(i => if (remote.contains(i)) read.getOrElse(i, Array.empty[Row]) else projected(i).collect())
   }
 
+  /** ``id`` as a node id, failing when it is null or outside [0, n). */
+  def nodeId(id: Any, n: Long): Long = id match {
+    case v: Long if v >= 0 && v < n => v
+    case _ => throw new IllegalArgumentException(s"node id outside [0,$n): $id")
+  }
+
   /** ``rows`` of (node, cls) as [[Labels]], failing on a node id outside
     * [0, n) or a class id outside [0, k).
     */
@@ -146,10 +162,9 @@ object GraphOps {
     val nodes = new Array[Int](rows.length)
     val classes = new Array[Int](rows.length)
     for ((r, i) <- rows.zipWithIndex) {
-      val (node, cls) = (r.get(0), r.get(1))
+      val cls = r.get(1)
       require(cls != null && r.getInt(1) >= 0 && r.getInt(1) < k, s"class id outside [0,$k): $cls")
-      require(node != null && r.getLong(0) >= 0 && r.getLong(0) < n, s"node id outside [0,$n): $node")
-      nodes(i) = r.getLong(0).toInt
+      nodes(i) = nodeId(r.get(0), n).toInt
       classes(i) = r.getInt(1)
     }
     Labels(n, k, nodes, classes)
@@ -160,8 +175,8 @@ object GraphOps {
     * W is symmetric, so the rows of W are the edges grouped by ``dst``:
     * on edges hash-partitioned by ``dst`` ([[fromUndirected]]) each block
     * holds whole rows and is built by a narrow pass over its partition, with
-    * no shuffle. Neighbours are sorted, so a row's sum runs in the same
-    * order however the edges were read.
+    * no shuffle. Neighbours are sorted and kept once, so a row's sum runs in
+    * the same order however the edges were read.
     */
   def adjacency(edges: DataFrame): RDD[CsrBlock] =
     edges.select(col("dst").cast("long"), col("src").cast("long")).queryExecution.toRdd.mapPartitions { rows =>
@@ -170,22 +185,14 @@ object GraphOps {
       java.util.Arrays.sort(keys)
       val nodes = Array.newBuilder[Int]
       val offsets = Array.newBuilder[Int]
-      val neighbours = new Array[Int](keys.length)
-      for (e <- keys.indices) {
-        if (e == 0 || (keys(e) >>> 32) != (keys(e - 1) >>> 32)) { nodes += (keys(e) >>> 32).toInt; offsets += e }
-        neighbours(e) = keys(e).toInt
+      val neighbours = Array.newBuilder[Int]
+      for (e <- keys.indices if e == 0 || keys(e) != keys(e - 1)) {
+        if (e == 0 || (keys(e) >>> 32) != (keys(e - 1) >>> 32)) { nodes += (keys(e) >>> 32).toInt; offsets += neighbours.length }
+        neighbours += keys(e).toInt
       }
-      offsets += keys.length
-      Iterator.single(CsrBlock(nodes.result(), offsets.result(), neighbours))
+      offsets += neighbours.length
+      Iterator.single(CsrBlock(nodes.result(), offsets.result(), neighbours.result()))
     }.setName("adjacency").persist(StorageLevel.MEMORY_ONLY)
-
-  /** The degrees of ``g``'s nodes: its CSR row lengths, collected (one job). */
-  def degrees(g: SparseGraph): Array[Double] = {
-    val out = zeros(g.n, 1).data
-    for ((nodes, lengths) <- g.adjacency.map(b => (b.nodes, Array.tabulate(b.nodes.length)(r => b.offsets(r + 1) - b.offsets(r)))).collect())
-      for (r <- nodes.indices) out(nodes(r)) += lengths(r)
-    out
-  }
 
   /** W·F for an n×c matrix ``f`` on the driver — one hop of message
     * passing, where every node sums its neighbours' rows of ``f``.
@@ -198,7 +205,7 @@ object GraphOps {
   def multiply(g: SparseGraph, f: Dense): Dense = {
     require(f.rows == g.n, s"F has ${f.rows} rows, the graph ${g.n} nodes")
     val c = f.cols
-    val shared = g.edges.sparkSession.sparkContext.broadcast(f.data)
+    val shared = g.adjacency.sparkContext.broadcast(f.data)
     val rows =
       try g.adjacency.map { b =>
         val x = shared.value
@@ -296,32 +303,22 @@ object GraphOps {
     p
   }
 
-  /** Build a SparseGraph from an undirected edge list (one direction),
-    * deduplicating, dropping self-loops and adding reverse edges.
-    *
-    * The edges are hash-partitioned by ``dst`` and held persisted, so
-    * [[adjacency]] builds whole rows of W from each partition with no
-    * exchange. (A localCheckpoint would drop that partitioning.) The
-    * partition count is ``spark.sql.shuffle.partitions`` capped at the
-    * default parallelism: every hop runs one task per partition.
-    * Deduplication clusters on (src, dst), which the dst partitioning
-    * already satisfies. The input is checkpointed first, so no later plan
-    * over the edges carries the input's own plan along; a node id outside
-    * [0, n) fails that checkpoint. The checked ids are declared non-null
-    * (the check raises before the fallback could apply).
+  /** Build a SparseGraph from an undirected edge list (one direction): one
+    * narrow pass checks the node ids ([[nodeId]]), drops self-loops and
+    * emits both directions; one hash shuffle by ``dst`` into
+    * ``spark.sql.shuffle.partitions`` partitions capped at the default
+    * parallelism (every hop runs one task per partition) follows; and
+    * [[adjacency]] builds the blocks, dropping duplicate edges. The blocks
+    * are built here, so a bad id fails this call.
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
-    def checkedNode(c: String): Column = {
-      val id = col(c).cast("long")
-      coalesce(when(id.between(0L, n - 1), id).otherwise(raise_error(
-        concat(lit(s"node id outside [0,$n): "), coalesce(id.cast("string"), lit("null"))))), lit(-1L)).as(c)
+    val both = undirected.select(col("src").cast("long"), col("dst").cast("long")).rdd.flatMap { r =>
+      val (a, b) = (nodeId(r.get(0), n), nodeId(r.get(1), n))
+      if (a == b) Nil else Seq((a, b), (b, a))
     }
-    val e = undirected.select(checkedNode("src"), checkedNode("dst"))
-      .where(col("src") =!= col("dst"))
-    val both = materialize(e.unionByName(e.select(col("dst").as("src"), col("src").as("dst"))))
     val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)
-    val edges = both.repartition(parts, col("dst")).distinct().persist()
-    edges.count()
-    SparseGraph(n, edges)
+    val g = SparseGraph(n, spark.createDataFrame(both).toDF("src", "dst").repartition(parts, col("dst")))
+    g.adjacency.count()
+    g
   }
 }

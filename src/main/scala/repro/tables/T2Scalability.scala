@@ -26,6 +26,7 @@ object T2Scalability {
       mceMs: Long,        // optimization only
       dceMs: Long,
       dcerMs: Long,       // 10 restarts
+      dcerConverged: Boolean, // DCEr's kept run reached BFGS's gradient tolerance
       lceMs: Long,
       holdoutMs: Long)    // −1 when skipped
 
@@ -48,14 +49,14 @@ object T2Scalability {
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
       val (_, tMce) = TableUtil.timed(Estimators.mce(sk))
       val (_, tDce) = TableUtil.timed(Estimators.dce(sk))
-      val (_, tDcer) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed))
+      val (dcer, tDcer) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed))
       val (_, tLce) = TableUtil.timed(Estimators.lce(sk))
       val tHoldout =
         if (n <= holdoutMaxN)
           TableUtil.timed(Estimators.holdout(gen.graph, seeds, k, b = 1,
             maxEvals = holdoutEvals, seed = seed))._2
         else -1L
-      Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, tLce, tHoldout)
+      Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, dcer.converged, tLce, tHoldout)
     }
     // One untimed pass first, so the first timed row does not pay the
     // session's JIT and codegen warm-up.
@@ -66,9 +67,9 @@ object T2Scalability {
   def format(rows: Seq[Row]): String =
     TableUtil.format(
       "T2 (Fig. 3b/6k): estimation vs propagation wall-clock (opt columns exclude the shared sketch)",
-      Seq("n", "m", "t_rho", "t_propagate", "t_sketch", "t_MCE", "t_DCE", "t_DCEr", "t_LCE", "t_Holdout"),
+      Seq("n", "m", "t_rho", "t_propagate", "t_sketch", "t_MCE", "t_DCE", "t_DCEr", "DCEr_converged", "t_LCE", "t_Holdout"),
       rows.map(r => Seq(r.n.toString, r.m.toString, TableUtil.ms(r.rhoMs),
         TableUtil.ms(r.propagateMs), TableUtil.ms(r.sketchMs), TableUtil.ms(r.mceMs),
-        TableUtil.ms(r.dceMs), TableUtil.ms(r.dcerMs), TableUtil.ms(r.lceMs),
+        TableUtil.ms(r.dceMs), TableUtil.ms(r.dcerMs), r.dcerConverged.toString, TableUtil.ms(r.lceMs),
         if (r.holdoutMs < 0) "—" else TableUtil.ms(r.holdoutMs))))
 }

@@ -230,6 +230,14 @@ class EstimatorsSpec extends SparkSpec {
     assert(e.getMessage.contains("nothing to score"), e.getMessage)
   }
 
+  test("Holdout fails clearly, naming the split, when a split leaves its seed side empty") {
+    // One seed, and a split seed that puts it into Holdout₁: no seed is left to label from.
+    val seed = (0L until 100L).find(GraphOps.uniformOf(_, 1, 0L) >= 0.5).get
+    val one = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0))
+    val e = intercept[IllegalArgumentException](Estimators.holdout(small.graph, one, k, b = 1, maxEvals = 4, seed = seed))
+    assert(e.getMessage.contains("split 1 of 1 has no seeds"), e.getMessage)
+  }
+
   test("Holdout fails clearly on a graph without edges (ρ(W) = 0)") {
     import spark.implicits._
     val empty = GraphOps.fromUndirected(spark, 10, Seq.empty[(Long, Long)].toDF("src", "dst"))

@@ -190,11 +190,23 @@ class GraphOpsSpec extends SparkSpec {
 
   test("fromUndirected rejects a node id outside [0,n)") {
     import spark.implicits._
-    for ((edge, id) <- Seq((1L, 5L) -> "5", (-1L, 2L) -> "-1")) {
-      val e = intercept[Exception](GraphOps.fromUndirected(spark, 5, Seq(edge, (0L, 1L)).toDF("src", "dst")))
+    val edges = Seq[(Option[Long], Option[Long])](Some(1L) -> Some(5L), Some(-1L) -> Some(2L), Some(3L) -> None)
+    for ((edge, id) <- edges.zip(Seq("5", "-1", "null"))) {
+      val e = intercept[Exception](GraphOps.fromUndirected(spark, 5, Seq(edge, Some(0L) -> Some(1L)).toDF("src", "dst")))
       assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
-        .exists(t => String.valueOf(t.getMessage).contains(s"node id outside [0,5): $id")), e.toString)
+        .exists(t => String.valueOf(t.getMessage).endsWith(s"node id outside [0,5): $id")), e.toString)
     }
+  }
+
+  test("fromUndirected starts at most 2 jobs and persists only the CSR blocks") {
+    import spark.implicits._
+    val undirected = DenseRef.randomEdges(n, 120, seed = 12).map { case (a, b) => (a.toLong, b.toLong) }.toDF("src", "dst")
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    var built: SparseGraph = null
+    val jobs = SparkCounters.of(spark) { built = GraphOps.fromUndirected(spark, n, undirected) }.jobs
+    val added = spark.sparkContext.getPersistentRDDs.keySet -- before
+    assert(jobs <= 2, s"$jobs jobs")
+    assert(added == Set(built.adjacency.id), s"persisted RDDs added: $added")
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {
