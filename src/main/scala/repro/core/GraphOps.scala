@@ -1,10 +1,12 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.XXH64
-import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
 import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
@@ -45,9 +47,10 @@ final class SparseGraph(val n: Long, val adjacency: RDD[CsrBlock]) {
 object SparseGraph {
 
   /** The graph of a (src, dst) table with every edge in both directions,
-    * such as [[SparseGraph.edges]]; the first job that reads it builds it.
+    * such as [[SparseGraph.edges]]; the first job that reads it builds it,
+    * and fails there on a node id that is null or outside [0, n).
     */
-  def apply(n: Long, edges: DataFrame): SparseGraph = new SparseGraph(n, GraphOps.adjacency(edges))
+  def apply(n: Long, edges: DataFrame): SparseGraph = new SparseGraph(n, GraphOps.adjacency(edges, n))
 }
 
 /** One edge partition's rows of W in CSR form: node ``nodes(r)`` has the
@@ -136,17 +139,47 @@ object GraphOps {
     */
   def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = labelsOf(collectLabelRows(Seq(labels)).head, n, k)
 
-  /** The (node: Long, cls: Int) rows of every table of ``tables``, read
-    * with at most one job: a table held on the driver (a local relation
-    * once optimized) is read without one, the others through one union,
-    * tagged by position. A class may be null.
+  /** The (node, cls) rows of every table of ``tables``, each id a Long or
+    * null ([[idColumn]]), read with at most one job through each table's
+    * own planned query (its memoized `queryExecution`), so a call plans
+    * nothing: a table held on the driver (a local relation) is read without
+    * a job, the others as one union of their row RDDs. The ids are read
+    * inside the task, since a row RDD reuses its row objects.
     */
-  def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[Row]] = {
-    val projected = tables.map(_.select(col("node").cast("long"), col("cls").cast("int")))
-    val remote = projected.indices.filterNot(i => projected(i).queryExecution.optimizedPlan.isInstanceOf[LocalRelation])
-    val read = remote.map(i => projected(i).withColumn("part", lit(i))).reduceOption(_ union _)
-      .fold(Map.empty[Int, Array[Row]])(_.collect().groupBy(_.getInt(2)))
-    projected.indices.map(i => if (remote.contains(i)) read.getOrElse(i, Array.empty[Row]) else projected(i).collect())
+  def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[(Any, Any)]] = {
+    val plans = tables.map(_.queryExecution)
+    val pairs = tables.map { t =>
+      val (node, cls) = (idColumn(t, "node"), idColumn(t, "cls"))
+      (r: InternalRow) => (node(r), cls(r))
+    }
+    val remote = plans.indices.filterNot(i => plans(i).executedPlan.isInstanceOf[LocalTableScanExec])
+    val read =
+      if (remote.isEmpty) Map.empty[Int, Array[(Any, Any)]]
+      else plans.head.sparkSession.sparkContext
+        .union(remote.map { i => val pair = pairs(i); plans(i).toRdd.map(r => (i, pair(r))) })
+        .collect().groupMap(_._1)(_._2)
+    plans.indices.map(i =>
+      if (remote.contains(i)) read.getOrElse(i, Array.empty[(Any, Any)]) else plans(i).executedPlan.executeCollect().map(pairs(i)))
+  }
+
+  /** A reader of the integral id column ``name`` of ``t``'s rows, found
+    * with the session's resolver: a Long, Int, Short or Byte value as a
+    * Long, and null as null. Any other type fails here, naming the column,
+    * instead of being cast into an id.
+    */
+  def idColumn(t: DataFrame, name: String): InternalRow => Any = {
+    val output = t.queryExecution.analyzed.output
+    val i = output.indexWhere(a => t.sparkSession.sessionState.conf.resolver(a.name, name))
+    require(i >= 0, s"no id column `$name` among ${output.map(_.name).mkString("(", ", ", ")")}")
+    val read: InternalRow => Long = output(i).dataType match {
+      case LongType => _.getLong(i)
+      case IntegerType => _.getInt(i).toLong
+      case ShortType => _.getShort(i).toLong
+      case ByteType => _.getByte(i).toLong
+      case other => throw new IllegalArgumentException(
+        s"id column `$name` has type ${other.simpleString}, not long, int, short or byte")
+    }
+    r => if (r.isNullAt(i)) null else read(r)
   }
 
   /** ``id`` as a node id, failing when it is null or outside [0, n). */
@@ -155,17 +188,18 @@ object GraphOps {
     case _ => throw new IllegalArgumentException(s"node id outside [0,$n): $id")
   }
 
-  /** ``rows`` of (node, cls) as [[Labels]], failing on a node id outside
-    * [0, n) or a class id outside [0, k).
+  /** ``rows`` of (node, cls) ids as [[Labels]], failing on a node id
+    * outside [0, n) or a class id outside [0, k), null included.
     */
-  def labelsOf(rows: Array[Row], n: Long, k: Int): Labels = {
+  def labelsOf(rows: Array[(Any, Any)], n: Long, k: Int): Labels = {
     val nodes = new Array[Int](rows.length)
     val classes = new Array[Int](rows.length)
-    for ((r, i) <- rows.zipWithIndex) {
-      val cls = r.get(1)
-      require(cls != null && r.getInt(1) >= 0 && r.getInt(1) < k, s"class id outside [0,$k): $cls")
-      nodes(i) = nodeId(r.get(0), n).toInt
-      classes(i) = r.getInt(1)
+    for (((node, cls), i) <- rows.zipWithIndex) {
+      classes(i) = cls match {
+        case c: Long if c >= 0 && c < k => c.toInt
+        case _ => throw new IllegalArgumentException(s"class id outside [0,$k): $cls")
+      }
+      nodes(i) = nodeId(node, n).toInt
     }
     Labels(n, k, nodes, classes)
   }
@@ -175,13 +209,16 @@ object GraphOps {
     * W is symmetric, so the rows of W are the edges grouped by ``dst``:
     * on edges hash-partitioned by ``dst`` ([[fromUndirected]]) each block
     * holds whole rows and is built by a narrow pass over its partition, with
-    * no shuffle. Neighbours are sorted and kept once, so a row's sum runs in
-    * the same order however the edges were read.
+    * no shuffle. (dst, src) are read from the table's own planned query, and
+    * an id that is null or outside [0, n) fails the pass ([[nodeId]]).
+    * Neighbours are sorted and kept once, so a row's sum runs in the same
+    * order however the edges were read.
     */
-  def adjacency(edges: DataFrame): RDD[CsrBlock] =
-    edges.select(col("dst").cast("long"), col("src").cast("long")).queryExecution.toRdd.mapPartitions { rows =>
+  def adjacency(edges: DataFrame, n: Long): RDD[CsrBlock] = {
+    val (dst, src) = (idColumn(edges, "dst"), idColumn(edges, "src"))
+    edges.queryExecution.toRdd.mapPartitions { rows =>
       // (row, neighbour) packed into one long: sorting it sorts by row, then neighbour.
-      val keys = rows.map(r => (r.getLong(0) << 32) | r.getLong(1)).toArray
+      val keys = rows.map(r => (nodeId(dst(r), n) << 32) | nodeId(src(r), n)).toArray
       java.util.Arrays.sort(keys)
       val nodes = Array.newBuilder[Int]
       val offsets = Array.newBuilder[Int]
@@ -193,6 +230,7 @@ object GraphOps {
       offsets += neighbours.length
       Iterator.single(CsrBlock(nodes.result(), offsets.result(), neighbours.result()))
     }.setName("adjacency").persist(StorageLevel.MEMORY_ONLY)
+  }
 
   /** W·F for an n×c matrix ``f`` on the driver — one hop of message
     * passing, where every node sums its neighbours' rows of ``f``.
@@ -304,7 +342,8 @@ object GraphOps {
   }
 
   /** Build a SparseGraph from an undirected edge list (one direction): one
-    * narrow pass checks the node ids ([[nodeId]]), drops self-loops and
+    * narrow pass over the table's own planned query reads (src, dst)
+    * ([[idColumn]]), checks the node ids ([[nodeId]]), drops self-loops and
     * emits both directions; one hash shuffle by ``dst`` into
     * ``spark.sql.shuffle.partitions`` partitions capped at the default
     * parallelism (every hop runs one task per partition) follows; and
@@ -312,8 +351,9 @@ object GraphOps {
     * are built here, so a bad id fails this call.
     */
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
-    val both = undirected.select(col("src").cast("long"), col("dst").cast("long")).rdd.flatMap { r =>
-      val (a, b) = (nodeId(r.get(0), n), nodeId(r.get(1), n))
+    val (src, dst) = (idColumn(undirected, "src"), idColumn(undirected, "dst"))
+    val both = undirected.queryExecution.toRdd.flatMap { r =>
+      val (a, b) = (nodeId(src(r), n), nodeId(dst(r), n))
       if (a == b) Nil else Seq((a, b), (b, a))
     }
     val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)

@@ -18,15 +18,27 @@ import repro.linalg.Dense
   *
   * which costs O(m·k·ℓmax) total (Prop. 4.5). The sketches are O(k²·ℓmax)
   * — independent of the graph — so estimation runs on the driver.
+  *
+  * ``seedsPerClass`` holds the seeds of each class ([[Sketch.compute]]
+  * fills it; empty when not recorded) and [[Sketches.evidence]] the
+  * labeled pairs per class, so a sketch shows how much evidence each row
+  * of P̂ rests on.
   */
 final case class Sketches(
     k: Int,
     lmax: Int,
     nLabeled: Long,
     mFull: IndexedSeq[Dense],
-    mNB: IndexedSeq[Dense]) {
+    mNB: IndexedSeq[Dense],
+    seedsPerClass: IndexedSeq[Long] = Vector.empty) {
 
   require(mFull.length == lmax && mNB.length == lmax, "need one matrix per length")
+  require(seedsPerClass.isEmpty || seedsPerClass.length == k, "need one seed count per class, or none")
+
+  /** The evidence behind P̂_NB⁽ℓ⁾ (1-based ℓ): the row sums of M_NB⁽ℓ⁾,
+    * the non-backtracking labeled pairs that start in each class.
+    */
+  def evidence(l: Int): Array[Double] = mNB(l - 1).rowSums
 
   /** Observed length-ℓ statistics P̂⁽ℓ⁾ over all paths (1-based ℓ). */
   def pFull(l: Int, variant: Int = 1): Dense = Sketch.normalize(mFull(l - 1), variant)
@@ -66,12 +78,15 @@ object Sketch {
     * from (a, p, f) = (X, 0, X). Each ℓ is one [[GraphOps.multiply]] of
     * [a | f] for both families; the (D − c·I)·p term and Xᵀ·N are array
     * arithmetic on the driver. A seed class id outside [0, k) and seeds
-    * that miss a class of [0, k) fail before any hop.
+    * that miss a class of [0, k) fail before any hop. The seeds per class
+    * are counted from the collected labels, with no job.
     */
   def compute(g: SparseGraph, seedLabels: DataFrame, k: Int, lmax: Int): Sketches = {
     require(lmax >= 1, "lmax must be >= 1")
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
-    val missing = (0 until k).filterNot(labels.classes.contains)
+    val seedsPerClass = Array.fill(k)(0L)
+    labels.classes.foreach(seedsPerClass(_) += 1)
+    val missing = (0 until k).filter(seedsPerClass(_) == 0)
     require(missing.isEmpty, s"no seed of class ${missing.mkString(", ")}: P̂ would have no evidence for it")
     val x = labels.oneHot
     val (n, xt) = (x.rows, x.t)
@@ -92,6 +107,6 @@ object Sketch {
       f = GraphOps.columns(wAF, k, k)
       (xt * a, xt * f)
     }.unzip
-    Sketches(k, lmax, labels.nodes.length, mFull, mNB)
+    Sketches(k, lmax, labels.nodes.length, mFull, mNB, seedsPerClass.toVector)
   }
 }

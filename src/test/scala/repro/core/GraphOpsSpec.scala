@@ -198,6 +198,66 @@ class GraphOpsSpec extends SparkSpec {
     }
   }
 
+  /** Whether ``e`` or one of its causes has a message containing ``text``. */
+  private def mentions(e: Throwable, text: String): Boolean =
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(t => String.valueOf(t.getMessage).contains(text))
+
+  test("SparseGraph(n, edges) rejects a null, negative or too-large node id") {
+    import spark.implicits._
+    val edges = Seq[(Option[Long], Option[Long])](None -> Some(1L), Some(1L) -> None, Some(-1L) -> Some(2L), Some(3L) -> Some(5L))
+    for ((edge, id) <- edges.zip(Seq("null", "null", "-1", "5"))) {
+      val table = Seq(edge, edge.swap, Some(0L) -> Some(1L), Some(1L) -> Some(0L)).toDF("src", "dst")
+      val e = intercept[Exception](SparseGraph(5, table).degrees)
+      assert(mentions(e, s"node id outside [0,5): $id"), e.toString)
+    }
+  }
+
+  test("a Long, Int or Short node column gives the same labels") {
+    import spark.implicits._
+    val rows = Seq((3, 1), (0, 2), (7, 0))
+    val tables = Seq(rows.map { case (v, c) => (v.toLong, c) }.toDF("node", "cls"), rows.toDF("node", "cls"),
+      rows.map { case (v, c) => (v.toShort, c) }.toDF("node", "cls"))
+    for (labels <- tables.map(GraphOps.collectLabels(_, 8, 3))) {
+      assert(labels.nodes.toSeq == rows.map(_._1) && labels.classes.toSeq == rows.map(_._2))
+    }
+  }
+
+  test("a Double or String node column, or a missing cls column, fails naming the column") {
+    import spark.implicits._
+    val cases = Seq(
+      Seq((1.0, 0)).toDF("node", "cls") -> "`node` has type double",
+      Seq(("1", 0)).toDF("node", "cls") -> "`node` has type string",
+      Seq((1L, 0)).toDF("node", "class") -> "`cls`")
+    for ((table, text) <- cases) {
+      val e = intercept[IllegalArgumentException](GraphOps.collectLabels(table, n, 3))
+      assert(e.getMessage.contains(text), e.getMessage)
+    }
+  }
+
+  test("a Long class id beyond the Int range fails instead of wrapping") {
+    import spark.implicits._
+    val e = intercept[Exception](GraphOps.collectLabels(Seq((0L, 1L << 31)).toDF("node", "cls"), n, 3))
+    assert(mentions(e, "class id outside [0,3): 2147483648"), e.toString)
+  }
+
+  test("collectLabelRows reads cached tables with one job and no SQL execution, local ones with no job") {
+    import spark.implicits._
+    val truthRows = (0 until n).map(i => (i.toLong, i % 3))
+    val seedRows = truthRows.filter(_._1 % 4 == 0)
+    val local = Seq(truthRows, seedRows).map(_.toDF("node", "cls"))
+    val cached = Seq(truthRows, seedRows).map(spark.sparkContext.parallelize(_, 2).toDF("node", "cls").cache())
+    try {
+      cached.foreach(_.count())
+      for ((tables, jobs) <- Seq(cached -> 1, local -> 0)) {
+        var rows = Seq.empty[Array[(Any, Any)]]
+        val counts = SparkCounters.of(spark) { rows = GraphOps.collectLabelRows(tables) }
+        assert(counts.jobs == jobs && counts.sqlExecutions == 0, counts.toString)
+        assert(rows.map(_.toSeq.sortBy(_._1.asInstanceOf[Long])) ==
+          Seq(truthRows, seedRows).map(_.map { case (v, c) => (v, c.toLong) }))
+      }
+    } finally cached.foreach(_.unpersist(blocking = true))
+  }
+
   test("fromUndirected starts at most 2 jobs and persists only the CSR blocks") {
     import spark.implicits._
     val undirected = DenseRef.randomEdges(n, 120, seed = 12).map { case (a, b) => (a.toLong, b.toLong) }.toDF("src", "dst")

@@ -22,6 +22,14 @@ class SketchSpec extends SparkSpec {
     assert(sketches.nLabeled == labelMap.size)
   }
 
+  test("seedsPerClass counts the seeds of each class; evidence(ℓ) is the row sums of dense XᵀW_NB⁽ℓ⁾X") {
+    assert(sketches.seedsPerClass == (0 until k).map(c => labelMap.values.count(_ == c).toLong))
+    for (l <- 1 to 5) {
+      val expected = DenseRef.collapse(xDense, DenseRef.nbPower(w, l)).rowSums
+      assert(sketches.evidence(l).toSeq == expected.toSeq, s"l=$l")
+    }
+  }
+
   test("M⁽ℓ⁾ full-path sketches match dense XᵀWℓX for ℓ = 1..5") {
     for (l <- 1 to 5) {
       val expected = DenseRef.collapse(xDense, w.pow(l))

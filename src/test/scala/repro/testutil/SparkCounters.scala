@@ -1,15 +1,19 @@
 package repro.testutil
 
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageCompleted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted}
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 
 /** What Spark ran for a block of driver code, counted by a listener. */
 object SparkCounters {
 
-  /** Jobs started, stages completed and shuffle bytes written. */
-  final case class Counts(jobs: Int, stages: Int, shuffleWriteBytes: Long) {
-    def -(o: Counts): Counts = Counts(jobs - o.jobs, stages - o.stages, shuffleWriteBytes - o.shuffleWriteBytes)
+  /** Jobs started, stages completed, shuffle bytes written and SQL
+    * executions started (one per Dataset action, each with a plan of its own).
+    */
+  final case class Counts(jobs: Int, stages: Int, shuffleWriteBytes: Long, sqlExecutions: Int = 0) {
+    def -(o: Counts): Counts =
+      Counts(jobs - o.jobs, stages - o.stages, shuffleWriteBytes - o.shuffleWriteBytes, sqlExecutions - o.sqlExecutions)
   }
 
   /** The counts of what ``body`` started. A listener sees events in the
@@ -28,6 +32,10 @@ object SparkCounters {
       override def onStageCompleted(e: SparkListenerStageCompleted): Unit = {
         val written = Option(e.stageInfo.taskMetrics).map(_.shuffleWriteMetrics.bytesWritten).getOrElse(0L)
         seen = seen.copy(stages = seen.stages + 1, shuffleWriteBytes = seen.shuffleWriteBytes + written)
+      }
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => seen = seen.copy(sqlExecutions = seen.sqlExecutions + 1)
+        case _ =>
       }
     }
     def mark(): Counts = {
