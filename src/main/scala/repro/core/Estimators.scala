@@ -174,7 +174,7 @@ object Estimators {
     * each energy evaluation runs LinBP from Seedᵢ and scores accuracy on
     * Holdoutᵢ for b random 50/50 splits of the available labels:
     * E(H) = −Σᵢ Acc_{Qᵢ}(H). The labels are collected once, and split i
-    * puts a node into Seedᵢ when [[GraphOps.uniformOf]](seed, i, node)
+    * puts a node into Seedᵢ when [[GraphOps.uniform]](seed, i, node)
     * < 0.5, on the driver, so the splits depend on the seed and the labels,
     * not on how ``seedLabels`` is partitioned, and no seed enters a Spark
     * plan. The split index in the key keeps the split independent of
@@ -204,7 +204,7 @@ object Estimators {
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val splits = (1 to b).map { i =>
-      val (seedPart, holdPart) = labels.nodes.indices.partition(r => GraphOps.uniformOf(seed, i, labels.nodes(r)) < 0.5)
+      val (seedPart, holdPart) = labels.nodes.indices.partition(r => GraphOps.uniform(seed, i, labels.nodes(r)) < 0.5)
       require(seedPart.nonEmpty, s"Holdout split $i of $b has no seeds: all ${labels.nodes.length} labels fell on its holdout side")
       (labels.select(seedPart), labels.select(holdPart))
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.execution.LocalTableScanExec
@@ -115,23 +115,21 @@ object GraphOps {
   }
 
   /** A uniform draw in [0, 1) for the row identified by ``key`` under
-    * ``seed``: the top 53 bits of xxhash64(seed, key…), times 2⁻⁵³. It
-    * depends only on the seed and the row's identity, so a row draws the
-    * same number however the rows are partitioned; `rand(seed)` instead
-    * seeds every partition with seed + partition index, and its draws
-    * follow the core count. Keys of different lengths give independent
-    * draws, so two uses that key the same rows stay independent under one
-    * seed when one of them adds a column to its key.
+    * ``seed``: the top 53 bits of Spark's xxhash64(seed, key) (hash seed
+    * 42, each input hashed as its own type), times 2⁻⁵³. It depends only on
+    * the seed and the row's identity, so a row draws the same number
+    * however the rows are partitioned; `rand(seed)` instead seeds every
+    * partition with seed + partition index, and its draws follow the core
+    * count.
     */
-  def uniform(seed: Long, key: Column*): Column =
-    shiftrightunsigned(xxhash64(lit(seed) +: key: _*), 11).cast("double") * lit(1.0 / (1L << 53))
+  def uniform(seed: Long, key: Long): Double = unit(XXH64.hashLong(key, XXH64.hashLong(seed, 42L)))
 
-  /** [[uniform]](seed, lit(i), col(node)) on the driver, for an Int ``i``
-    * and a Long ``node``: xxhash64 folds its inputs left to right from the
-    * hash seed 42, each hashed as its own type.
+  /** The draw keyed by (split, node), the split hashed as an Int: it is
+    * independent of [[uniform]](seed, node) under the same seed.
     */
-  def uniformOf(seed: Long, i: Int, node: Long): Double =
-    (XXH64.hashLong(node, XXH64.hashInt(i, XXH64.hashLong(seed, 42L))) >>> 11).toDouble * (1.0 / (1L << 53))
+  def uniform(seed: Long, split: Int, node: Long): Double = unit(XXH64.hashLong(node, XXH64.hashInt(split, XXH64.hashLong(seed, 42L))))
+
+  private def unit(hash: Long): Double = (hash >>> 11).toDouble * (1.0 / (1L << 53))
 
   /** The (node, cls) rows of ``labels``, collected. A node id outside
     * [0, n) or a class id outside [0, k) fails here, before it could land

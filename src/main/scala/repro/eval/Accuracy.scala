@@ -1,8 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, Labels, LinBP, Sketch, SparseGraph}
 import repro.linalg.Dense
 
@@ -14,21 +12,24 @@ import repro.linalg.Dense
   */
 object Accuracy {
 
-  /** Stratified seed sample: per class, ⌈max(1, round(f·n_c))⌉ nodes
-    * chosen uniformly (seeded, deterministic). Each class keeps its nodes
-    * with the smallest draws [[GraphOps.uniform]](seed, node), ties broken
-    * by node id, so the sample depends on the seed and the labels, not on
-    * how ``labels`` is partitioned.
+  /** Stratified seed sample, as a driver-held (node: Long, cls: Int)
+    * table: per class, max(1, round(f·n_c)) nodes, rounded half up, with
+    * the smallest draws [[GraphOps.uniform]](seed, node), ties broken by
+    * node id, so the sample depends on the seed and the labels, not on how
+    * ``labels`` is partitioned. A null or negative id fails here.
     */
   def sampleSeeds(labels: DataFrame, f: Double, seed: Long = 0): DataFrame = {
     require(f > 0 && f < 1, s"seed fraction must be in (0,1), got $f")
-    val w = Window.partitionBy("cls").orderBy(GraphOps.uniform(seed, col("node")), col("node"))
-    GraphOps.materialize(
-      labels
-        .withColumn("__rn", row_number().over(w))
-        .withColumn("__cnt", count(lit(1)).over(Window.partitionBy("cls")))
-        .where(col("__rn") <= greatest(lit(1L), round(col("__cnt") * f)))
-        .select("node", "cls"))
+    val rows = GraphOps.collectLabelRows(Seq(labels)).head.map {
+      case (node: Long, cls: Long) if node >= 0 && cls >= 0 && cls.isValidInt => (node, cls.toInt)
+      case (node, cls) => throw new IllegalArgumentException(s"a label needs a node id and a class id >= 0, got (node, cls) = ($node, $cls)")
+    }
+    import Ordering.Double.TotalOrdering
+    val seeds = rows.groupBy(_._2).values.flatMap { members =>
+      val take = BigDecimal(members.length * f).setScale(0, BigDecimal.RoundingMode.HALF_UP).toInt.max(1)
+      members.sortBy { case (node, _) => (GraphOps.uniform(seed, node), node) }.take(take)
+    }
+    labels.sparkSession.createDataFrame(seeds.toSeq).toDF("node", "cls")
   }
 
   /** Gold standard: relative label frequencies between neighbors measured

@@ -1,8 +1,5 @@
 package repro.graphgen
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
-
 /** Degree-distribution families for the planted generator (§5).
   *
   * A family maps a uniform draw u ∈ [0,1) to a node *rank* within a class
@@ -13,23 +10,23 @@ import org.apache.spark.sql.functions._
   */
 sealed trait DegreeDist {
 
-  /** Column expression: rank ∈ [0, classSize) drawn from this family. */
-  def rank(u: Column, classSize: Long): Column
+  /** The rank ∈ [0, classSize) this family draws for ``u``. */
+  def rank(u: Double, classSize: Long): Long
 }
 
 object DegreeDist {
 
   case object Uniform extends DegreeDist {
-    def rank(u: Column, classSize: Long): Column =
-      least(lit(classSize - 1), floor(u * classSize)).cast("long")
+    def rank(u: Double, classSize: Long): Long = math.min(classSize - 1, math.floor(u * classSize).toLong)
   }
 
   /** Rank weight ∝ (rank+1)^−gamma; inverse CDF of the continuous
-    * approximation is rank = classSize · u^(1/(1−gamma)).
+    * approximation is rank = classSize · u^(1/(1−gamma)). `StrictMath.pow`
+    * gives the same bits on every JVM.
     */
   final case class PowerLaw(gamma: Double = 0.3) extends DegreeDist {
     require(gamma > 0 && gamma < 1, s"need 0 < gamma < 1, got $gamma")
-    def rank(u: Column, classSize: Long): Column =
-      least(lit(classSize - 1), floor(pow(u, 1.0 / (1.0 - gamma)) * classSize)).cast("long")
+    def rank(u: Double, classSize: Long): Long =
+      math.min(classSize - 1, math.floor(StrictMath.pow(u, 1.0 / (1.0 - gamma)) * classSize).toLong)
   }
 }

@@ -1,7 +1,6 @@
 package repro.graphgen
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{GraphOps, SparseGraph}
 import repro.linalg.Dense
 
@@ -20,8 +19,8 @@ import repro.linalg.Dense
   *    degree family, giving uniform or power-law degrees.
   *
   * Each endpoint draw is [[GraphOps.uniform]] keyed by (seed, the edge's
-  * index in its block), not by the partitioning, so a seed gives the same
-  * edge set on any number of cores.
+  * `spark.range` id in its block), not by the partitioning, so a seed
+  * gives the same edge set on any number of cores.
   *
   * Deduplication and self-loop removal drop a small fraction of draws
   * (≲2% at the sparsities used here), so m is matched approximately; the
@@ -45,6 +44,8 @@ object PlantedGraph {
     val k = alpha.length
     require(h.rows == k && h.cols == k, "H and alpha disagree on k")
     require(math.abs(alpha.sum - 1.0) < 1e-6, s"alpha must sum to 1, got ${alpha.sum}")
+    for (c <- 0 until k) require(alpha(c) > 0, s"alpha($c) = ${alpha(c)}: every class needs alpha > 0")
+    for (c <- 0 until k; d <- 0 until k) require(h(c, d) >= 0, s"H($c,$d) = ${h(c, d)}: every entry of H must be >= 0")
 
     // Contiguous class ranges: class c occupies [offsets(c), offsets(c+1)).
     val sizes = Array.tabulate(k)(c => math.max(1L, math.round(alpha(c) * n)))
@@ -60,23 +61,17 @@ object PlantedGraph {
     val wSum = rawW.sum
     val budgets = rawW.map(w => math.round(m * w / wSum))
 
+    import spark.implicits._
     val blocks = pairs.zip(budgets).zipWithIndex.collect {
       case (((c, d), cnt), i) if cnt > 0 =>
-        spark.range(cnt).select(
-          (lit(offsets(c)) + dist.rank(GraphOps.uniform(seed + 2L * i, col("id")), sizes(c))).as("src"),
-          (lit(offsets(d)) + dist.rank(GraphOps.uniform(seed + 2L * i + 1, col("id")), sizes(d))).as("dst"))
+        spark.range(cnt).as[Long].map(id => (
+          offsets(c) + dist.rank(GraphOps.uniform(seed + 2L * i, id), sizes(c)),
+          offsets(d) + dist.rank(GraphOps.uniform(seed + 2L * i + 1, id), sizes(d))))
     }
     require(blocks.nonEmpty, "no block received a positive edge budget")
-    val undirected = blocks.reduce(_ unionByName _)
-    val graph = GraphOps.fromUndirected(spark, n, undirected)
-
-    val classByNode = udf { (node: Long) =>
-      var c = 0
-      while (c < k - 1 && node >= offsets(c + 1)) c += 1
-      c
-    }
+    val graph = GraphOps.fromUndirected(spark, n, blocks.reduce(_ union _).toDF("src", "dst"))
     val labels = GraphOps.materialize(
-      spark.range(n).select(col("id").as("node"), classByNode(col("id")).as("cls")))
+      spark.range(n).as[Long].map(node => (node, offsets.lastIndexWhere(_ <= node))).toDF("node", "cls"))
     Generated(graph, labels, sizes)
   }
 }

@@ -5,7 +5,7 @@ import repro.SparkSpec
 import repro.eval.Accuracy
 import repro.graphgen.{DegreeDist, PlantedGraph}
 import repro.linalg.Dense
-import repro.testutil.DenseRef
+import repro.testutil.{DenseRef, SparkDraw}
 
 /** Pure (driver-side) estimator math. */
 class EstimatorMathSpec extends AnyFunSuite {
@@ -198,7 +198,7 @@ class EstimatorsSpec extends SparkSpec {
   test("batched Holdout matches one LinBP run and one score per evaluated H") {
     import org.apache.spark.sql.functions.{col, lit}
     val seed = 10L
-    val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", GraphOps.uniform(seed, lit(1), col("node")) < 0.5))
+    val tagged = GraphOps.materialize(smallSeeds.withColumn("__r", SparkDraw.uniform(seed, lit(1), col("node")) < 0.5))
     val (seedPart, holdPart) = (tagged.where(col("__r")).drop("__r"), tagged.where(!col("__r")).drop("__r"))
     def energy(hFree: Array[Double]): Double = {
       val f = LinBP.run(small.graph, seedPart, CompatibilityMatrix.fromFree(hFree, k))
@@ -224,7 +224,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("Holdout fails clearly when a split leaves its holdout side empty") {
     // One seed, and a split seed that puts it into Seed₁: nothing is left to score.
-    val seed = (0L until 100L).find(GraphOps.uniformOf(_, 1, 0L) < 0.5).get
+    val seed = (0L until 100L).find(GraphOps.uniform(_, 1, 0L) < 0.5).get
     val one = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0))
     val e = intercept[IllegalArgumentException](Estimators.holdout(small.graph, one, k, b = 1, maxEvals = 4, seed = seed))
     assert(e.getMessage.contains("nothing to score"), e.getMessage)
@@ -232,7 +232,7 @@ class EstimatorsSpec extends SparkSpec {
 
   test("Holdout fails clearly, naming the split, when a split leaves its seed side empty") {
     // One seed, and a split seed that puts it into Holdout₁: no seed is left to label from.
-    val seed = (0L until 100L).find(GraphOps.uniformOf(_, 1, 0L) >= 0.5).get
+    val seed = (0L until 100L).find(GraphOps.uniform(_, 1, 0L) >= 0.5).get
     val one = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0))
     val e = intercept[IllegalArgumentException](Estimators.holdout(small.graph, one, k, b = 1, maxEvals = 4, seed = seed))
     assert(e.getMessage.contains("split 1 of 1 has no seeds"), e.getMessage)

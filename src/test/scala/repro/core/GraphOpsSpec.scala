@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.linalg.Dense
-import repro.testutil.{DenseRef, LocalGraphs, SparkCounters}
+import repro.testutil.{DenseRef, LocalGraphs, SparkCounters, SparkDraw}
 
 class GraphOpsSpec extends SparkSpec {
 
@@ -82,7 +82,8 @@ class GraphOpsSpec extends SparkSpec {
     val built = LocalGraphs.graph(spark, n, edgeList)
     built.degrees // builds the adjacency
     val hop = SparkCounters.of(spark)(GraphOps.multiply(built, f))
-    assert(hop == SparkCounters.Counts(jobs = 1, stages = 1, shuffleWriteBytes = 0), hop.toString)
+    val blocks = built.adjacency.getNumPartitions
+    assert(hop == SparkCounters.Counts(jobs = 1, stages = 1, shuffleWriteBytes = 0, tasks = blocks), hop.toString)
   }
 
   test("spectralRadius(g, 5) on a fresh graph starts 5 jobs") {
@@ -99,12 +100,13 @@ class GraphOpsSpec extends SparkSpec {
     assert(math.abs(rho - 1.0) <= 1e-9, s"ρ = $rho")
   }
 
-  test("uniformOf draws what uniform draws for (seed, i, node)") {
+  test("uniform draws what Spark's xxhash64 draws") {
     import spark.implicits._
-    val keys = for (seed <- Seq(0L, 10L, -3L); i <- Seq(1, 2); node <- Seq(0L, 7L, 123456789L)) yield (seed, i, node)
+    val keys = for (seed <- Seq(0L, 10L, -3L); i <- Seq(1, 2); node <- Seq(0L, 7L, 123456789L, -1L, Long.MaxValue)) yield (seed, i, node)
     for ((seed, i, node) <- keys) {
-      val col = Seq(node).toDF("node").select(GraphOps.uniform(seed, lit(i), $"node")).first().getDouble(0)
-      assert(GraphOps.uniformOf(seed, i, node) == col, s"seed $seed, i $i, node $node")
+      val row = Seq(node).toDF("node").select(SparkDraw.uniform(seed, $"node"), SparkDraw.uniform(seed, lit(i), $"node")).first()
+      assert(GraphOps.uniform(seed, node) == row.getDouble(0), s"seed $seed, node $node")
+      assert(GraphOps.uniform(seed, i, node) == row.getDouble(1), s"seed $seed, i $i, node $node")
     }
   }
 

@@ -127,7 +127,7 @@ class LinBPSpec extends SparkSpec {
 
   test("LinBP.run with 5 iterations starts 6 jobs: one collect of the seeds, one per iteration") {
     val rho = g.rho // builds the adjacency
-    val seeds = GraphOps.materialize(labelsDf) // as sampleSeeds returns them
+    val seeds = GraphOps.materialize(labelsDf) // pins the read of a cached table (1 job)
     val jobs = SparkCounters.of(spark)(LinBP.run(g, seeds, h, iterations = 5, rhoW = Some(rho))).jobs
     assert(jobs == 6, s"$jobs jobs")
   }

@@ -140,7 +140,7 @@ class SketchSpec extends SparkSpec {
 
   test("Sketch.compute with ℓmax 5 starts 6 jobs: one collect of the seeds, one per ℓ") {
     g.degrees // builds the adjacency
-    val seeds = GraphOps.materialize(labelsDf) // as sampleSeeds returns them
+    val seeds = GraphOps.materialize(labelsDf) // pins the read of a cached table (1 job)
     val jobs = SparkCounters.of(spark)(Sketch.compute(g, seeds, k, lmax = 5)).jobs
     assert(jobs == 6, s"$jobs jobs")
   }

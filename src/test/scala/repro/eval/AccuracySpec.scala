@@ -37,6 +37,18 @@ class AccuracySpec extends SparkSpec {
     intercept[IllegalArgumentException](Accuracy.sampleSeeds(labels, 1.0))
   }
 
+  test("sampleSeeds fails on a null node, a null class or a double node column, naming it") {
+    import spark.implicits._
+    val bad = Seq(
+      Seq((Some(0L), 0), (None, 1)).toDF("node", "cls") -> "(node, cls) = (null, 1)",
+      Seq((0L, Some(0)), (1L, None)).toDF("node", "cls") -> "(node, cls) = (1, null)",
+      Seq((0.0, 0), (1.0, 1)).toDF("node", "cls") -> "id column `node` has type double")
+    for ((table, message) <- bad) {
+      val e = intercept[IllegalArgumentException](Accuracy.sampleSeeds(table, 0.5))
+      assert(e.getMessage.contains(message), e.getMessage)
+    }
+  }
+
   /** A class for every node 0..n−1, ``classes(i)`` for node i. */
   private def predict(k: Int, classes: Int*): Labels = Labels(classes.length, k, classes.indices.toArray, classes.toArray)
 

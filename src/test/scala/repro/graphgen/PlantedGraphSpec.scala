@@ -92,11 +92,39 @@ class PlantedGraphSpec extends SparkSpec {
   }
 
   test("DegreeDist rank stays in range for both families") {
-    import spark.implicits._
-    for (dist <- Seq[DegreeDist](DegreeDist.Uniform, DegreeDist.PowerLaw(0.3))) {
-      val ranks = spark.range(5000).select(dist.rank(rand(1), 17).as("r")).as[Long].collect()
-      assert(ranks.forall(r => r >= 0 && r < 17), s"$dist out of range")
-      assert(ranks.toSet.size > 10, s"$dist degenerate")
+    val rnd = new java.util.SplittableRandom(1)
+    val us = Seq(0.0, 1.0 - 1.0 / (1L << 53)) ++ Seq.fill(5000)(rnd.nextDouble())
+    for (dist <- Seq[DegreeDist](DegreeDist.Uniform, DegreeDist.PowerLaw(0.3)); size <- Seq(1L, 17L, 1L << 40)) {
+      val ranks = us.map(dist.rank(_, size))
+      assert(ranks.forall(r => r >= 0 && r < size), s"$dist out of [0, $size)")
+      assert(ranks.head == 0 && ranks(1) == size - 1, s"$dist at u = 0 and u → 1: ${ranks.take(2)}")
+      if (size == 17) assert(ranks.toSet.size > 10, s"$dist degenerate")
     }
+  }
+
+  test("rejects a negative H entry or a class without alpha mass, naming it") {
+    val negative = repro.linalg.Dense.fromRows(Seq(Seq(0.5, 0.6, -0.1), Seq(0.6, 0.2, 0.2), Seq(-0.1, 0.2, 0.9)))
+    val e = intercept[IllegalArgumentException](PlantedGraph.generate(spark, 300, 1500, balanced, negative))
+    assert(e.getMessage.contains("H(0,2) = -0.1"), e.getMessage)
+    val a = intercept[IllegalArgumentException](PlantedGraph.generate(spark, 300, 1500, Array(0.5, 0.0, 0.5), h3))
+    assert(a.getMessage.contains("alpha(1) = 0.0"), a.getMessage)
+  }
+
+  test("two planted graphs and their seed samples keep their pinned fingerprints") {
+    import spark.implicits._
+    import scala.util.hashing.MurmurHash3
+    // (m, an order-free hash of the edge set, an order-free hash of the
+    // seeds): any change to a draw, a rank or the sampler's rounding moves it.
+    def pinned(gen: PlantedGraph.Generated, f: Double, seed: Long): (Long, Int, Int) = {
+      val edges = gen.graph.edges.as[(Long, Long)].collect().filter { case (a, b) => a < b }
+      val seeds = Accuracy.sampleSeeds(gen.labels, f, seed).select("node", "cls").as[(Long, Int)].collect()
+      (gen.graph.m, MurmurHash3.unorderedHash(edges.toSeq), MurmurHash3.unorderedHash(seeds.toSeq))
+    }
+    val powerLaw = PlantedGraph.generate(spark, 3000, 15000, balanced, h3, DegreeDist.PowerLaw(0.3), seed = 2)
+    val imbalanced = PlantedGraph.generate(spark, 2000, 10000,
+      repro.tables.T8Imbalance.PaperAlpha, repro.tables.T8Imbalance.PaperH, DegreeDist.PowerLaw(0.3), seed = 5)
+    // 1000 · 0.0025 = 2.5 seeds in the largest class rounds half up, to 3.
+    val got = Seq(pinned(powerLaw, 0.05, 4), pinned(imbalanced, 0.0025, 6))
+    assert(got == Seq((14919L, 46563970, 901776537), (9942L, -136934441, 596545141)), got.mkString(", "))
   }
 }

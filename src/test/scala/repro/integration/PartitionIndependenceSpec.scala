@@ -6,6 +6,7 @@ import repro.SparkSpec
 import repro.core.{CompatibilityMatrix, Estimators}
 import repro.eval.Accuracy
 import repro.graphgen.{DegreeDist, PlantedGraph}
+import repro.testutil.SparkCounters
 
 /** A run's result depends only on its inputs and seeds: every random draw
   * (generator endpoints, seed sampling, Holdout splits) is keyed by
@@ -37,13 +38,21 @@ class PartitionIndependenceSpec extends SparkSpec {
     (r.getLong(0) / 2, r.getLong(1))
   }
 
-  private def generated(): (Long, Long) = fingerprint(PlantedGraph.generate(
-    spark, n = 600, m = 2400, alpha = balanced, h = h, dist = DegreeDist.PowerLaw(0.3), seed = 3).graph.edges)
+  /** The fingerprint of a generated graph's edges, and the tasks its
+    * generation ran.
+    */
+  private def generated(): ((Long, Long), Int) = {
+    lazy val gen = PlantedGraph.generate(spark, n = 600, m = 2400, alpha = balanced, h = h, dist = DegreeDist.PowerLaw(0.3), seed = 3)
+    val tasks = SparkCounters.of(spark)(gen).tasks
+    (fingerprint(gen.graph.edges), tasks)
+  }
 
   test("PlantedGraph.generate draws the same edge set at any parallelism") {
-    val runs = Seq("1", "3", "8").map(p => p -> withConf("spark.sql.leafNodeDefaultParallelism" -> p)(generated())) :+
-      ("8 shuffle partitions" -> withConf("spark.sql.shuffle.partitions" -> "8")(generated()))
-    assert(runs.map(_._2).distinct.size == 1, runs.mkString(", "))
+    val leaf = Seq("1", "3", "8").map(p => p -> withConf("spark.sql.leafNodeDefaultParallelism" -> p)(generated()))
+    val runs = leaf :+ ("8 shuffle partitions" -> withConf("spark.sql.shuffle.partitions" -> "8")(generated()))
+    assert(runs.map(_._2._1).distinct.size == 1, runs.mkString(", "))
+    // The setting splits the generator's ids, so each run drew under its own partitioning.
+    assert(leaf.map(_._2._2).distinct.size == leaf.size, leaf.mkString(", "))
   }
 
   test("sampleSeeds picks the same seeds however the labels are partitioned") {

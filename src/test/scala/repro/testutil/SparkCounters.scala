@@ -8,12 +8,13 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 /** What Spark ran for a block of driver code, counted by a listener. */
 object SparkCounters {
 
-  /** Jobs started, stages completed, shuffle bytes written and SQL
-    * executions started (one per Dataset action, each with a plan of its own).
+  /** Jobs started, stages completed, shuffle bytes written, SQL
+    * executions started (one per Dataset action, each with a plan of its
+    * own) and the tasks of the completed stages.
     */
-  final case class Counts(jobs: Int, stages: Int, shuffleWriteBytes: Long, sqlExecutions: Int = 0) {
+  final case class Counts(jobs: Int, stages: Int, shuffleWriteBytes: Long, sqlExecutions: Int = 0, tasks: Int = 0) {
     def -(o: Counts): Counts =
-      Counts(jobs - o.jobs, stages - o.stages, shuffleWriteBytes - o.shuffleWriteBytes, sqlExecutions - o.sqlExecutions)
+      Counts(jobs - o.jobs, stages - o.stages, shuffleWriteBytes - o.shuffleWriteBytes, sqlExecutions - o.sqlExecutions, tasks - o.tasks)
   }
 
   /** The counts of what ``body`` started. A listener sees events in the
@@ -31,7 +32,8 @@ object SparkCounters {
         else seen = seen.copy(jobs = seen.jobs + 1)
       override def onStageCompleted(e: SparkListenerStageCompleted): Unit = {
         val written = Option(e.stageInfo.taskMetrics).map(_.shuffleWriteMetrics.bytesWritten).getOrElse(0L)
-        seen = seen.copy(stages = seen.stages + 1, shuffleWriteBytes = seen.shuffleWriteBytes + written)
+        seen = seen.copy(stages = seen.stages + 1, shuffleWriteBytes = seen.shuffleWriteBytes + written,
+          tasks = seen.tasks + e.stageInfo.numTasks)
       }
       override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
         case _: SparkListenerSQLExecutionStart => seen = seen.copy(sqlExecutions = seen.sqlExecutions + 1)
@@ -49,7 +51,7 @@ object SparkCounters {
     try {
       val before = mark()
       body
-      mark() - before - Counts(0, 1, 0L) // the first marker job's own stage
+      mark() - before - Counts(0, 1, 0L, tasks = 1) // the first marker job's own stage
     } finally sc.removeSparkListener(listener)
   }
 }
