@@ -15,12 +15,33 @@ package repro.core
   */
 object BFGS {
 
-  /** @param x         final parameters
-    * @param value     final objective value
-    * @param gradNorm  final gradient L2 norm
+  /** Why a run stopped. */
+  sealed trait Stop
+  object Stop {
+    /** The gradient norm fell to the tolerance. */
+    case object Gradient extends Stop
+    /** An accepted step lowered f by no more than [[Floor]]·|f|:
+      * f has no more digits to lose, and further steps are rounding noise.
+      */
+    case object PrecisionFloor extends Stop
+    /** The iteration cap was reached. */
+    case object IterationCap extends Stop
+    /** No step of the line search passed the Armijo test. */
+    case object LineSearchFailed extends Stop
+  }
+
+  /** Two units in the last place of 1.0: a step that lowers f by no more
+    * than this fraction of |f| changed f only by rounding.
+    */
+  val Floor: Double = 2 * Math.ulp(1.0)
+
+  /** @param x          final parameters
+    * @param value      final objective value
+    * @param gradNorm   final gradient L2 norm
     * @param iters      iterations used
     * @param converged  true if gradNorm fell below the tolerance
     * @param backtracks Armijo step halvings, over all iterations
+    * @param stop       why the run stopped
     */
   final case class Result(
       x: Array[Double],
@@ -28,12 +49,20 @@ object BFGS {
       gradNorm: Double,
       iters: Int,
       converged: Boolean,
-      backtracks: Int)
+      backtracks: Int,
+      stop: Stop)
 
   /** Minimize f by BFGS with Armijo backtracking. ``fg`` is called once at
     * ``x0`` and once per trial point of the line search; the accepted
     * point's value and gradient are kept, so a run costs
     * 1 + iters + backtracks calls.
+    *
+    * A run stops at the first of: the gradient norm at most ``gradTol``; an
+    * accepted step that lowered f by at most [[Floor]]·|f| (a
+    * gradient that rounding keeps above ``gradTol`` would otherwise run to
+    * the cap, each step a long line search for a rounding-level change);
+    * ``maxIters`` iterations; or a line search with no acceptable step.
+    * `converged` is true only in the first case.
     */
   def minimize(
       fg: Array[Double] => (Double, Array[Double]),
@@ -62,9 +91,11 @@ object BFGS {
 
     var it = 0
     var backtracks = 0
-    while (it < maxIters) {
+    var atFloor = false
+    def result(stop: Stop) = Result(x, fx, norm(gx), it, converged = stop == Stop.Gradient, backtracks, stop)
+    while (it < maxIters && !atFloor) {
       val gNorm = norm(gx)
-      if (gNorm <= gradTol) return Result(x, fx, gNorm, it, converged = true, backtracks)
+      if (gNorm <= gradTol) return result(Stop.Gradient)
 
       var dir = matVec(hInv, gx).map(-_)
       var slope = dir.zip(gx).map { case (a, b) => a * b }.sum
@@ -85,10 +116,11 @@ object BFGS {
         else { t /= 2.0; bt += 1 }
       }
       backtracks += bt
-      // No step decreases f: stop where we are, converged only if the gradient says so.
-      if (accepted == null) return Result(x, fx, gNorm, it, converged = gNorm <= gradTol, backtracks)
+      // No step decreases f: stop where we are, not converged.
+      if (accepted == null) return result(Stop.LineSearchFailed)
 
       val (xNew, fx2, gx2) = accepted
+      atFloor = fx - fx2 <= Floor * math.abs(fx)
       val s = Array.tabulate(d)(i => xNew(i) - x(i))
       val y = Array.tabulate(d)(i => gx2(i) - gx(i))
       val sy = s.zip(y).map { case (a, b) => a * b }.sum
@@ -116,7 +148,6 @@ object BFGS {
       x = xNew; fx = fx2; gx = gx2
       it += 1
     }
-    val gNorm = norm(gx)
-    Result(x, fx, gNorm, it, converged = gNorm <= gradTol, backtracks)
+    result(if (norm(gx) <= gradTol) Stop.Gradient else if (atFloor) Stop.PrecisionFloor else Stop.IterationCap)
   }
 }

@@ -31,6 +31,8 @@ object Estimators {
     * @param iterations      iterations of the kept run
     * @param restartEnergies DCEr: the final energy of every restart, in
     *                        start order
+    * @param stop            why the kept run's optimizer stopped (None
+    *                        for Holdout)
     */
   final case class EstimationResult(
       h: Dense,
@@ -39,7 +41,8 @@ object Estimators {
       gradNorm: Double = Double.NaN,
       converged: Boolean = false,
       iterations: Int = 0,
-      restartEnergies: Seq[Double] = Nil) {
+      restartEnergies: Seq[Double] = Nil,
+      stop: Option[BFGS.Stop] = None) {
 
     /** Highest minus lowest restart energy; 0 without restarts. */
     def restartSpread: Double = if (restartEnergies.isEmpty) 0.0 else restartEnergies.max - restartEnergies.min
@@ -47,7 +50,7 @@ object Estimators {
 
   /** The estimate at the optimum of a [[BFGS]] run. */
   private def fromBFGS(r: BFGS.Result, k: Int): EstimationResult =
-    EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.iters, r.gradNorm, r.converged, r.iters)
+    EstimationResult(CompatibilityMatrix.fromFree(r.x, k), r.value, r.iters, r.gradNorm, r.converged, r.iters, stop = Some(r.stop))
 
   /** Distance weights w_ℓ = λ^{ℓ−1}, normalized to sum 1 (normalizing
     * rescales the objective without moving its optimum, and keeps

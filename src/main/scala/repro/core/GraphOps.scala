@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.rdd.RDD
+import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.{RDD, UnionRDD}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.XXH64
@@ -29,12 +31,14 @@ final class SparseGraph(val n: Long, val adjacency: RDD[CsrBlock]) {
   lazy val m: Long = (degrees.sum / 2).toLong
 
   /** Node degrees on the driver, n entries (0 for an isolated node): the
-    * CSR row lengths, W·1, collected with one job.
+    * CSR row lengths, W·1, with one job ([[GraphOps.runJob]]) that sends
+    * each block's nodes and offsets.
     */
   lazy val degrees: Array[Double] = {
     val out = GraphOps.zeros(n, 1).data
-    for ((nodes, lengths) <- adjacency.map(b => (b.nodes, Array.tabulate(b.nodes.length)(r => b.offsets(r + 1) - b.offsets(r)))).collect())
-      for (r <- nodes.indices) out(nodes(r)) += lengths(r)
+    GraphOps.runJob(adjacency)((_, blocks) => blocks.map(b => (b.nodes, b.offsets)).toArray) { (_, rows) =>
+      for ((nodes, offsets) <- rows; r <- nodes.indices) out(nodes(r)) += offsets(r + 1) - offsets(r)
+    }
     out
   }
 
@@ -58,6 +62,15 @@ object SparseGraph {
   * ascending order.
   */
 final case class CsrBlock(nodes: Array[Int], offsets: Array[Int], neighbours: Array[Int])
+
+/** The function of one Spark job: ``f`` applied to a partition's index and
+  * rows. A named class rather than a lambda, so that Spark's closure
+  * cleaner, which re-reads and parses the class file that declares a lambda
+  * every time it is handed one, passes it by ([[GraphOps.runJob]]).
+  */
+private[core] final class Task[T, U](f: (Int, Iterator[T]) => U) extends ((TaskContext, Iterator[T]) => U) with Serializable {
+  def apply(context: TaskContext, rows: Iterator[T]): U = f(context.partitionId(), rows)
+}
 
 /** (node, cls) labels on the driver: ``nodes(i)`` has class ``classes(i)``,
   * every node in [0, n) and every class in [0, k).
@@ -89,16 +102,29 @@ final case class Labels(n: Long, k: Int, nodes: Array[Int], classes: Array[Int])
   *
   * W·F ([[multiply]]) is the one operation that touches the graph: F is
   * broadcast, each CSR block of W sums its rows' neighbour rows, and the
-  * driver scatters the collected rows into the result. One job, no
-  * shuffle. Every iterate (ρ(W)'s vector, the sketch's path counts, LinBP's
-  * beliefs) is a [[Dense]] on the driver, and the row-wise algebra around a
-  * hop (F·H, (D − c·I)·F, sums) is array arithmetic there, so no constant
-  * of an iteration enters a Spark plan.
+  * driver scatters each block's rows into the result as they arrive. One
+  * job, no shuffle. Every iterate (ρ(W)'s vector, the sketch's path
+  * counts, LinBP's beliefs) is a [[Dense]] on the driver, and the row-wise
+  * algebra around a hop (F·H, (D − c·I)·F, sums) is array arithmetic there,
+  * so no constant of an iteration enters a Spark plan.
   */
 object GraphOps {
 
   /** The largest JVM array length (HotSpot reserves a few header words). */
   private val MaxArrayLength: Long = Int.MaxValue - 8
+
+  /** One job over every partition of ``rdd``: ``task`` runs on each
+    * partition's index and rows, and ``handle`` gets each partition's index
+    * and result on the driver as it arrives, one call at a time.
+    *
+    * This is how every job of an operation starts. `rdd.map(…).collect()`
+    * would hand Spark two lambdas, and Spark's closure cleaner re-reads and
+    * parses the class file declaring each (for `collect`, `RDD.class`) on
+    * every call: an empty job cost 11.6 ms that way against 3.0 ms through
+    * a [[Task]], which the cleaner passes by (4 cores, `local[4]`).
+    */
+  private[core] def runJob[T, U: ClassTag](rdd: RDD[T])(task: (Int, Iterator[T]) => U)(handle: (Int, U) => Unit): Unit =
+    rdd.sparkContext.runJob(rdd, new Task(task), handle)
 
   /** Materialize and truncate lineage — required inside iterative loops,
     * where each step references the previous one (or two) results.
@@ -141,8 +167,10 @@ object GraphOps {
     * null ([[idColumn]]), read with at most one job through each table's
     * own planned query (its memoized `queryExecution`), so a call plans
     * nothing: a table held on the driver (a local relation) is read without
-    * a job, the others as one union of their row RDDs. The ids are read
-    * inside the task, since a row RDD reuses its row objects.
+    * a job, the others as one union of their row RDDs ([[runJob]]), whose
+    * partitions are each table's in turn. The ids are read inside the task,
+    * since a row RDD reuses its row objects, and every table's rows come
+    * back in partition order.
     */
   def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[(Any, Any)]] = {
     val plans = tables.map(_.queryExecution)
@@ -151,13 +179,17 @@ object GraphOps {
       (r: InternalRow) => (node(r), cls(r))
     }
     val remote = plans.indices.filterNot(i => plans(i).executedPlan.isInstanceOf[LocalTableScanExec])
-    val read =
-      if (remote.isEmpty) Map.empty[Int, Array[(Any, Any)]]
-      else plans.head.sparkSession.sparkContext
-        .union(remote.map { i => val pair = pairs(i); plans(i).toRdd.map(r => (i, pair(r))) })
-        .collect().groupMap(_._1)(_._2)
+    val rdds = remote.map(plans(_).toRdd)
+    // The table of every partition of the union.
+    val owner = remote.zip(rdds).flatMap { case (i, rdd) => Seq.fill(rdd.getNumPartitions)(i) }.toArray
+    val parts = new Array[Array[(Any, Any)]](owner.length)
+    if (remote.nonEmpty) {
+      val readers = owner.map(pairs)
+      runJob(new UnionRDD(plans.head.sparkSession.sparkContext, rdds))((p, rows) => rows.map(readers(p)).toArray)(parts(_) = _)
+    }
     plans.indices.map(i =>
-      if (remote.contains(i)) read.getOrElse(i, Array.empty[(Any, Any)]) else plans(i).executedPlan.executeCollect().map(pairs(i)))
+      if (remote.contains(i)) owner.indices.filter(owner(_) == i).flatMap(parts(_)).toArray
+      else plans(i).executedPlan.executeCollect().map(pairs(i)))
   }
 
   /** A reader of the integral id column ``name`` of ``t``'s rows, found
@@ -233,35 +265,39 @@ object GraphOps {
   /** W·F for an n×c matrix ``f`` on the driver — one hop of message
     * passing, where every node sums its neighbours' rows of ``f``.
     *
-    * One job over [[SparseGraph.adjacency]]: ``f`` is broadcast, each CSR
-    * block computes its rows, and the rows are collected and scattered into
-    * the result (a node in no block has no neighbour and gets a zero row).
-    * The broadcast is destroyed after the job.
+    * One job over [[SparseGraph.adjacency]] ([[runJob]]): ``f`` is
+    * broadcast, each CSR block sums its rows, and the driver scatters each
+    * block's sums into the result as they arrive (a node in no block has no
+    * neighbour and gets a zero row). A row lies in one block, so the order
+    * in which blocks arrive changes no sum. The broadcast is destroyed
+    * after the job.
     */
   def multiply(g: SparseGraph, f: Dense): Dense = {
     require(f.rows == g.n, s"F has ${f.rows} rows, the graph ${g.n} nodes")
     val c = f.cols
+    val out = zeros(g.n, c)
     val shared = g.adjacency.sparkContext.broadcast(f.data)
-    val rows =
-      try g.adjacency.map { b =>
-        val x = shared.value
-        val out = new Array[Double](b.nodes.length * c)
+    try runJob(g.adjacency) { (_, blocks) =>
+      val x = shared.value
+      blocks.map { b =>
+        val sums = new Array[Double](b.nodes.length * c)
         var r = 0
         while (r < b.nodes.length) {
           var e = b.offsets(r)
           while (e < b.offsets(r + 1)) {
             val from = b.neighbours(e) * c
             var j = 0
-            while (j < c) { out(r * c + j) += x(from + j); j += 1 }
+            while (j < c) { sums(r * c + j) += x(from + j); j += 1 }
             e += 1
           }
           r += 1
         }
-        (b.nodes, out)
-      }.collect()
-      finally shared.destroy()
-    val out = zeros(g.n, c)
-    for ((nodes, sums) <- rows; r <- nodes.indices; j <- 0 until c) out.data(nodes(r) * c + j) += sums(r * c + j)
+        (b.nodes, sums)
+      }.toArray
+    } { (_, rows) =>
+      for ((nodes, sums) <- rows; r <- nodes.indices; j <- 0 until c) out.data(nodes(r) * c + j) += sums(r * c + j)
+    }
+    finally shared.destroy()
     out
   }
 

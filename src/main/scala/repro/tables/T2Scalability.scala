@@ -27,6 +27,7 @@ object T2Scalability {
       dceMs: Long,
       dcerMs: Long,       // 10 restarts
       dcerConverged: Boolean, // DCEr's kept run reached BFGS's gradient tolerance
+      dcerStop: BFGS.Stop,    // why DCEr's kept run stopped
       lceMs: Long,
       holdoutMs: Long)    // −1 when skipped
 
@@ -56,7 +57,7 @@ object T2Scalability {
           TableUtil.timed(Estimators.holdout(gen.graph, seeds, k, b = 1,
             maxEvals = holdoutEvals, seed = seed))._2
         else -1L
-      Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, dcer.converged, tLce, tHoldout)
+      Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, dcer.converged, dcer.stop.get, tLce, tHoldout)
     }
     // One untimed pass first, so the first timed row does not pay the
     // session's JIT and codegen warm-up.
@@ -67,9 +68,9 @@ object T2Scalability {
   def format(rows: Seq[Row]): String =
     TableUtil.format(
       "T2 (Fig. 3b/6k): estimation vs propagation wall-clock (opt columns exclude the shared sketch)",
-      Seq("n", "m", "t_rho", "t_propagate", "t_sketch", "t_MCE", "t_DCE", "t_DCEr", "DCEr_converged", "t_LCE", "t_Holdout"),
+      Seq("n", "m", "t_rho", "t_propagate", "t_sketch", "t_MCE", "t_DCE", "t_DCEr", "DCEr_converged", "DCEr_stop", "t_LCE", "t_Holdout"),
       rows.map(r => Seq(r.n.toString, r.m.toString, TableUtil.ms(r.rhoMs),
         TableUtil.ms(r.propagateMs), TableUtil.ms(r.sketchMs), TableUtil.ms(r.mceMs),
-        TableUtil.ms(r.dceMs), TableUtil.ms(r.dcerMs), r.dcerConverged.toString, TableUtil.ms(r.lceMs),
+        TableUtil.ms(r.dceMs), TableUtil.ms(r.dcerMs), r.dcerConverged.toString, r.dcerStop.toString, TableUtil.ms(r.lceMs),
         if (r.holdoutMs < 0) "—" else TableUtil.ms(r.holdoutMs))))
 }

@@ -182,6 +182,21 @@ class EstimatorsSpec extends SparkSpec {
     assert(dcer.restartEnergies == sequential.map(_.energy))
     assert(dcer.restartSpread == sequential.map(_.energy).max - sequential.map(_.energy).min)
     assert(dcer.gradNorm == best.gradNorm && dcer.converged == best.converged && dcer.iterations == best.iterations)
+    assert(dcer.stop == best.stop)
+  }
+
+  test("DCEr stops at the precision floor, below the iteration cap, with the same Ĥ") {
+    // Before BFGS stopped at the precision floor, 3 of these 10 restarts,
+    // the kept one included, ran to the 500-iteration cap at a gradient norm
+    // of about 8e-9 and kept this Ĥ.
+    val capped = new Dense(3, 3, Array(
+      0.081752695396259140, 0.79582167035566680, 0.12242563424807407,
+      0.79582167035566680, 0.11585799759242046, 0.088320332051912810,
+      0.12242563424807407, 0.088320332051912810, 0.78925403370001330))
+    val seeds = Accuracy.sampleSeeds(gen.labels, 0.01, seed = 13)
+    val dcer = Estimators.dcer(Sketch.compute(gen.graph, seeds, k, lmax = 5), restarts = 10, seed = 14)
+    assert(dcer.h.approxEquals(capped, 1e-8), s"got:\n${dcer.h}")
+    assert(dcer.stop.contains(BFGS.Stop.PrecisionFloor) && !dcer.converged && dcer.iterations < 500, dcer.toString)
   }
 
   private lazy val small = PlantedGraph.generate(spark, 400, 2400, balanced, h,

@@ -86,6 +86,57 @@ class GraphOpsSpec extends SparkSpec {
     assert(hop == SparkCounters.Counts(jobs = 1, stages = 1, shuffleWriteBytes = 0, tasks = blocks), hop.toString)
   }
 
+  /** W of ``undirected`` on n nodes as hand-built CSR blocks, one per row
+    * range of ``rows``, in a partition each of ``slices``.
+    */
+  private def blocks(n: Int, undirected: Seq[(Int, Int)], rows: Seq[Range], slices: Int): SparseGraph = {
+    val w = DenseRef.adjacency(n, undirected)
+    val csr = rows.map { range =>
+      val neighbours = range.map(r => (0 until n).filter(w(r, _) != 0.0))
+      CsrBlock(range.toArray, neighbours.scanLeft(0)(_ + _.length).toArray, neighbours.flatten.toArray)
+    }
+    new SparseGraph(n, spark.sparkContext.parallelize(csr, slices))
+  }
+
+  test("multiply and degrees equal the dense reference exactly: an isolated node, an empty block, no edges") {
+    import spark.implicits._
+    // Node n − 1 loses its edges; the hand-built graph's blocks are rows
+    // 0..19, none and 20..n−1 in 4 partitions, so one partition has no block.
+    val lonely = edgeList.filter { case (a, b) => a != n - 1 && b != n - 1 }
+    val empty = GraphOps.fromUndirected(spark, 3, Seq.empty[(Long, Long)].toDF("src", "dst"))
+    val cases = Seq(
+      (LocalGraphs.graph(spark, n, lonely), DenseRef.adjacency(n, lonely)),
+      (blocks(n, edgeList, Seq(0 until 20, 0 until 0, 20 until n), slices = 4), w),
+      (empty, Dense.zeros(3, 3)))
+    for (((graph, dense), i) <- cases.zipWithIndex) {
+      val f = DenseRef.random(dense.rows, 3, seed = 30 + i)
+      assert(GraphOps.multiply(graph, f) == dense * f, s"case $i")
+      assert(graph.degrees.toSeq == dense.rowSums.toSeq, s"case $i")
+    }
+    assert(cases.head._1.degrees(n - 1) == 0.0)
+    assert(GraphOps.multiply(empty, DenseRef.random(3, 2, seed = 1)) == Dense.zeros(3, 2))
+    assert(GraphOps.spectralRadius(empty) == 0.0)
+  }
+
+  test("collectLabelRows returns every table's rows in partition order, empty partitions and local tables between") {
+    import spark.implicits._
+    val truthRows = (0 until n).map(i => (i.toLong, i % 3))
+    val seedRows = truthRows.filter(_._1 % 4 == 0)
+    val few = truthRows.take(2)
+    val tables = Seq(
+      spark.sparkContext.parallelize(truthRows, 3).toDF("node", "cls"),
+      seedRows.toDF("node", "cls"),
+      spark.sparkContext.parallelize(few, 4).toDF("node", "cls"),
+      spark.sparkContext.parallelize(Seq.empty[(Long, Int)], 2).toDF("node", "cls"))
+    var rows = Seq.empty[Array[(Any, Any)]]
+    val counts = SparkCounters.of(spark) { rows = GraphOps.collectLabelRows(tables) }
+    assert(counts.jobs == 1, counts.toString)
+    val expected = Seq(truthRows, seedRows, few, Nil)
+    assert(rows.map(_.toSeq) == expected.map(_.map { case (v, c) => (v, c.toLong) }))
+    for ((got, want) <- rows.zip(expected))
+      assert(GraphOps.labelsOf(got, n, 3).oneHot == DenseRef.oneHot(n, 3, want.map { case (v, c) => v.toInt -> c }.toMap))
+  }
+
   test("spectralRadius(g, 5) on a fresh graph starts 5 jobs") {
     val fresh = LocalGraphs.graph(spark, n, edgeList)
     val jobs = SparkCounters.of(spark)(GraphOps.spectralRadius(fresh, 5)).jobs

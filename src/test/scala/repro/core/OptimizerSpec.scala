@@ -65,6 +65,25 @@ class BFGSSpec extends AnyFunSuite {
     assert(!r.converged && r.iters == 0 && r.gradNorm == 1.0)
   }
 
+  test("a gradient that rounding keeps above gradTol stops at the precision floor, far below the cap") {
+    // f = 1 + 10¹²·(x² − 2)²: no double is √2, so |f'| ≥ 2.5e-3 at every
+    // double, while near √2 the second term drops below half an ulp of 1 and
+    // f rounds to 1. Without the floor every later step is a line search for
+    // a change of f that rounding hides, up to the cap.
+    def fg(x: Array[Double]) = { val r = x(0) * x(0) - 2; (1 + 1e12 * r * r, Array(4e12 * x(0) * r)) }
+    val r = BFGS.minimize(fg, Array(1.5))
+    assert(r.stop == BFGS.Stop.PrecisionFloor && !r.converged && r.gradNorm > 1e-9, r.toString)
+    assert(r.iters < 50 && math.abs(r.x(0) - math.sqrt(2)) < 1e-6, r.toString)
+  }
+
+  test("the stop reason names the gradient, the cap and a failed line search") {
+    val quadratic = BFGS.minimize(x => (x(0) * x(0), Array(2 * x(0))), Array(3.0))
+    val unbounded = BFGS.minimize(x => (x(0), Array(1.0)), Array(0.0), maxIters = 7)
+    val kink = BFGS.minimize(x => (math.abs(x(0)), Array(1.0)), Array(0.0))
+    assert(Seq(quadratic, unbounded, kink).map(_.stop) ==
+      Seq(BFGS.Stop.Gradient, BFGS.Stop.IterationCap, BFGS.Stop.LineSearchFailed))
+  }
+
   test("monotone: final value never exceeds the initial value") {
     for (seed <- 1 to 10) {
       val rnd = new scala.util.Random(seed)
