@@ -1,5 +1,8 @@
 package repro.core
 
+import java.io.{ObjectInputStream, ObjectOutputStream}
+import java.nio.{ByteBuffer, ByteOrder}
+import scala.collection.mutable.ArrayBuilder
 import scala.reflect.ClassTag
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.{RDD, UnionRDD}
@@ -9,21 +12,19 @@ import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType}
-import org.apache.spark.storage.StorageLevel
 import repro.linalg.Dense
 
 /** An undirected graph on nodes 0..n−1, held once: its symmetric 0/1
-  * adjacency matrix W as persisted CSR blocks on the executors, with no
-  * self-loops or duplicate edges ([[GraphOps.fromUndirected]] builds one).
+  * adjacency matrix W as locally checkpointed CSR blocks on the executors,
+  * with no self-loops or duplicate edges ([[GraphOps.fromUndirected]]
+  * builds one).
   */
 final class SparseGraph(val n: Long, val adjacency: RDD[CsrBlock]) {
 
   /** W as a (src: Long, dst: Long) DataFrame, every edge in both
     * directions: a view of [[adjacency]], flattened block by block.
     */
-  lazy val edges: DataFrame = SparkSession.active.createDataFrame(adjacency.flatMap(b =>
-    for (r <- b.nodes.indices.iterator; e <- b.offsets(r) until b.offsets(r + 1)) yield (b.neighbours(e).toLong, b.nodes(r).toLong)))
-    .toDF("src", "dst")
+  lazy val edges: DataFrame = SparkSession.active.createDataFrame(adjacency.flatMap(_.edges)).toDF("src", "dst")
 
   /** Number of undirected edges m = |E|: half the sum of [[degrees]], so
     * it starts no job once the degrees are known.
@@ -61,7 +62,130 @@ object SparseGraph {
   * neighbours ``neighbours(offsets(r) until offsets(r + 1))``, in
   * ascending order.
   */
-final case class CsrBlock(nodes: Array[Int], offsets: Array[Int], neighbours: Array[Int])
+final case class CsrBlock(nodes: Array[Int], offsets: Array[Int], neighbours: Array[Int]) {
+
+  /** Every (neighbour, node) pair of the block, row by row: one iterator
+    * over the arrays, with no collection per row.
+    */
+  def edges: Iterator[(Long, Long)] = new Iterator[(Long, Long)] {
+    private var r = 0
+    private var e = 0
+    def hasNext: Boolean = e < neighbours.length
+    def next(): (Long, Long) = {
+      while (e >= offsets(r + 1)) r += 1
+      e += 1
+      (neighbours(e - 1).toLong, nodes(r).toLong)
+    }
+  }
+}
+
+/** The integral id column at ``ordinal`` of a table's rows, ``width``
+  * bytes wide (8, 4, 2 or 1: long, int, short or byte), read as a long
+  * with no boxing ([[GraphOps.idColumn]] finds it).
+  */
+private[core] final class IdColumn(ordinal: Int, width: Int) extends Serializable {
+
+  def isNull(r: InternalRow): Boolean = r.isNullAt(ordinal)
+
+  /** The id of ``r``, which is not null. */
+  def apply(r: InternalRow): Long = width match {
+    case 8 => r.getLong(ordinal)
+    case 4 => r.getInt(ordinal)
+    case 2 => r.getShort(ordinal)
+    case _ => r.getByte(ordinal)
+  }
+
+  /** The id of ``r`` as a node id, failing when it is null or outside [0, n). */
+  def node(r: InternalRow, n: Long): Long = {
+    if (isNull(r)) throw GraphOps.outside("node", n, null)
+    val id = apply(r)
+    if (id < 0 || id >= n) throw GraphOps.outside("node", n, id)
+    id
+  }
+}
+
+/** One partition's (node, cls) ids as primitive arrays: row i is
+  * (``nodes(i)``, ``classes(i)``), except that the rows at ``nullNodes``
+  * have a null node and those at ``nullClasses`` a null class.
+  */
+private[core] final case class IdPairs(nodes: Array[Long], classes: Array[Long], nullNodes: Array[Int], nullClasses: Array[Int]) {
+
+  /** The rows as boxed pairs, a null id as null. */
+  def boxed: Array[(Any, Any)] = {
+    val out = Array.tabulate[(Any, Any)](nodes.length)(i => (nodes(i), classes(i)))
+    for (i <- nullNodes) out(i) = (null, out(i)._2)
+    for (i <- nullClasses) out(i) = (out(i)._1, null)
+    out
+  }
+}
+
+private[core] object IdPairs {
+
+  /** The (node, cls) ids of ``rows``, read by ``columns``. */
+  def read(columns: (IdColumn, IdColumn), rows: Iterator[InternalRow]): IdPairs = {
+    val (node, cls) = columns
+    val (nodes, classes) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
+    val (nullNodes, nullClasses) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofInt)
+    var i = 0
+    while (rows.hasNext) {
+      val r = rows.next()
+      if (node.isNull(r)) { nullNodes += i; nodes += 0L } else nodes += node(r)
+      if (cls.isNull(r)) { nullClasses += i; classes += 0L } else classes += cls(r)
+      i += 1
+    }
+    IdPairs(nodes.result(), classes.result(), nullNodes.result(), nullClasses.result())
+  }
+}
+
+/** An int array and a double array whose Java serialized form is their raw
+  * bytes, copied in bulk through a 64 KB buffer. ObjectOutputStream writes
+  * an int[] or a double[] one element at a time, and until the JIT has
+  * compiled that loop it is a hop's largest cost: [[GraphOps.multiply]]
+  * broadcasts F and returns each block's sums in this form.
+  */
+private[core] final class Packed(@transient var ints: Array[Int], @transient var doubles: Array[Double]) extends Serializable {
+  import Packed.Chunk
+
+  private def writeObject(out: ObjectOutputStream): Unit = {
+    out.writeInt(ints.length)
+    out.writeInt(doubles.length)
+    val buffer = Packed.buffer
+    for (i <- ints.indices by Chunk) {
+      val m = math.min(Chunk, ints.length - i)
+      buffer.asIntBuffer().put(ints, i, m)
+      out.write(buffer.array(), 0, 4 * m)
+    }
+    for (i <- doubles.indices by Chunk) {
+      val m = math.min(Chunk, doubles.length - i)
+      buffer.asDoubleBuffer().put(doubles, i, m)
+      out.write(buffer.array(), 0, 8 * m)
+    }
+  }
+
+  private def readObject(in: ObjectInputStream): Unit = {
+    ints = new Array[Int](in.readInt())
+    doubles = new Array[Double](in.readInt())
+    val buffer = Packed.buffer
+    for (i <- ints.indices by Chunk) {
+      val m = math.min(Chunk, ints.length - i)
+      in.readFully(buffer.array(), 0, 4 * m)
+      buffer.asIntBuffer().get(ints, i, m)
+    }
+    for (i <- doubles.indices by Chunk) {
+      val m = math.min(Chunk, doubles.length - i)
+      in.readFully(buffer.array(), 0, 8 * m)
+      buffer.asDoubleBuffer().get(doubles, i, m)
+    }
+  }
+}
+
+private[core] object Packed {
+
+  /** Elements per bulk copy. */
+  val Chunk = 8192
+
+  private def buffer: ByteBuffer = ByteBuffer.allocate(8 * Chunk).order(ByteOrder.LITTLE_ENDIAN)
+}
 
 /** The function of one Spark job: ``f`` applied to a partition's index and
   * rows. A named class rather than a lambda, so that Spark's closure
@@ -126,8 +250,10 @@ object GraphOps {
   private[core] def runJob[T, U: ClassTag](rdd: RDD[T])(task: (Int, Iterator[T]) => U)(handle: (Int, U) => Unit): Unit =
     rdd.sparkContext.runJob(rdd, new Task(task), handle)
 
-  /** Materialize and truncate lineage — required inside iterative loops,
-    * where each step references the previous one (or two) results.
+  /** Materialize ``df`` and truncate its lineage (a local checkpoint).
+    * `explicitPower` calls it after every join, so a power's plan does not
+    * grow with ℓ, and `PlantedGraph` on its labels; W's blocks are cut
+    * by [[adjacency]] itself.
     */
   def materialize(df: DataFrame): DataFrame = df.localCheckpoint(true)
 
@@ -169,54 +295,49 @@ object GraphOps {
     * nothing: a table held on the driver (a local relation) is read without
     * a job, the others as one union of their row RDDs ([[runJob]]), whose
     * partitions are each table's in turn. The ids are read inside the task,
-    * since a row RDD reuses its row objects, and every table's rows come
-    * back in partition order.
+    * since a row RDD reuses its row objects, and come back as primitive
+    * arrays ([[IdPairs]]); every table's rows come back in partition order.
     */
   def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[(Any, Any)]] = {
     val plans = tables.map(_.queryExecution)
-    val pairs = tables.map { t =>
-      val (node, cls) = (idColumn(t, "node"), idColumn(t, "cls"))
-      (r: InternalRow) => (node(r), cls(r))
-    }
+    val columns = tables.map(t => (idColumn(t, "node"), idColumn(t, "cls")))
     val remote = plans.indices.filterNot(i => plans(i).executedPlan.isInstanceOf[LocalTableScanExec])
     val rdds = remote.map(plans(_).toRdd)
     // The table of every partition of the union.
     val owner = remote.zip(rdds).flatMap { case (i, rdd) => Seq.fill(rdd.getNumPartitions)(i) }.toArray
-    val parts = new Array[Array[(Any, Any)]](owner.length)
+    val parts = new Array[IdPairs](owner.length)
     if (remote.nonEmpty) {
-      val readers = owner.map(pairs)
-      runJob(new UnionRDD(plans.head.sparkSession.sparkContext, rdds))((p, rows) => rows.map(readers(p)).toArray)(parts(_) = _)
+      val readers = owner.map(columns)
+      runJob(new UnionRDD(plans.head.sparkSession.sparkContext, rdds))((p, rows) => IdPairs.read(readers(p), rows))(parts(_) = _)
     }
-    plans.indices.map(i =>
-      if (remote.contains(i)) owner.indices.filter(owner(_) == i).flatMap(parts(_)).toArray
-      else plans(i).executedPlan.executeCollect().map(pairs(i)))
+    plans.indices.map { i =>
+      if (remote.contains(i)) owner.indices.filter(owner(_) == i).flatMap(parts(_).boxed).toArray
+      else IdPairs.read(columns(i), plans(i).executedPlan.executeCollect().iterator).boxed
+    }
   }
 
-  /** A reader of the integral id column ``name`` of ``t``'s rows, found
-    * with the session's resolver: a Long, Int, Short or Byte value as a
-    * Long, and null as null. Any other type fails here, naming the column,
-    * instead of being cast into an id.
+  /** The integral id column ``name`` of ``t``'s rows, found with the
+    * session's resolver and read by ordinal as a long ([[IdColumn]]). A
+    * column of any type but long, int, short or byte fails here, naming
+    * the column, instead of being cast into an id.
     */
-  def idColumn(t: DataFrame, name: String): InternalRow => Any = {
+  private[core] def idColumn(t: DataFrame, name: String): IdColumn = {
     val output = t.queryExecution.analyzed.output
     val i = output.indexWhere(a => t.sparkSession.sessionState.conf.resolver(a.name, name))
     require(i >= 0, s"no id column `$name` among ${output.map(_.name).mkString("(", ", ", ")")}")
-    val read: InternalRow => Long = output(i).dataType match {
-      case LongType => _.getLong(i)
-      case IntegerType => _.getInt(i).toLong
-      case ShortType => _.getShort(i).toLong
-      case ByteType => _.getByte(i).toLong
+    output(i).dataType match {
+      case LongType => new IdColumn(i, 8)
+      case IntegerType => new IdColumn(i, 4)
+      case ShortType => new IdColumn(i, 2)
+      case ByteType => new IdColumn(i, 1)
       case other => throw new IllegalArgumentException(
         s"id column `$name` has type ${other.simpleString}, not long, int, short or byte")
     }
-    r => if (r.isNullAt(i)) null else read(r)
   }
 
-  /** ``id`` as a node id, failing when it is null or outside [0, n). */
-  def nodeId(id: Any, n: Long): Long = id match {
-    case v: Long if v >= 0 && v < n => v
-    case _ => throw new IllegalArgumentException(s"node id outside [0,$n): $id")
-  }
+  /** The failure of a ``what`` id (node or class) outside [0, ``bound``). */
+  private[core] def outside(what: String, bound: Long, id: Any): IllegalArgumentException =
+    new IllegalArgumentException(s"$what id outside [0,$bound): $id")
 
   /** ``rows`` of (node, cls) ids as [[Labels]], failing on a node id
     * outside [0, n) or a class id outside [0, k), null included.
@@ -227,39 +348,56 @@ object GraphOps {
     for (((node, cls), i) <- rows.zipWithIndex) {
       classes(i) = cls match {
         case c: Long if c >= 0 && c < k => c.toInt
-        case _ => throw new IllegalArgumentException(s"class id outside [0,$k): $cls")
+        case _ => throw outside("class", k, cls)
       }
-      nodes(i) = nodeId(node, n).toInt
+      nodes(i) = node match {
+        case v: Long if v >= 0 && v < n => v.toInt
+        case _ => throw outside("node", n, node)
+      }
     }
     Labels(n, k, nodes, classes)
   }
 
-  /** W as CSR blocks, one per partition of ``edges``, persisted.
+  /** W as CSR blocks, one per partition of ``edges``, locally
+    * checkpointed.
     *
     * W is symmetric, so the rows of W are the edges grouped by ``dst``:
     * on edges hash-partitioned by ``dst`` ([[fromUndirected]]) each block
     * holds whole rows and is built by a narrow pass over its partition, with
     * no shuffle. (dst, src) are read from the table's own planned query, and
-    * an id that is null or outside [0, n) fails the pass ([[nodeId]]).
+    * an id that is null or outside [0, n) fails the pass ([[IdColumn.node]]).
     * Neighbours are sorted and kept once, so a row's sum runs in the same
     * order however the edges were read.
+    *
+    * The first job that reads the blocks stores them (memory, spilling to
+    * disk) and cuts their lineage, so a later job's task carries the blocks'
+    * checkpoint alone, not the edge table's plan or its graph's lineage. A
+    * block that is released or lost is not rebuilt: the job that needs it
+    * fails, naming the missing block.
     */
   def adjacency(edges: DataFrame, n: Long): RDD[CsrBlock] = {
     val (dst, src) = (idColumn(edges, "dst"), idColumn(edges, "src"))
     edges.queryExecution.toRdd.mapPartitions { rows =>
       // (row, neighbour) packed into one long: sorting it sorts by row, then neighbour.
-      val keys = rows.map(r => (nodeId(dst(r), n) << 32) | nodeId(src(r), n)).toArray
+      val packed = new ArrayBuilder.ofLong
+      while (rows.hasNext) {
+        val r = rows.next()
+        packed += (dst.node(r, n) << 32) | src.node(r, n)
+      }
+      val keys = packed.result()
       java.util.Arrays.sort(keys)
-      val nodes = Array.newBuilder[Int]
-      val offsets = Array.newBuilder[Int]
-      val neighbours = Array.newBuilder[Int]
-      for (e <- keys.indices if e == 0 || keys(e) != keys(e - 1)) {
-        if (e == 0 || (keys(e) >>> 32) != (keys(e - 1) >>> 32)) { nodes += (keys(e) >>> 32).toInt; offsets += neighbours.length }
-        neighbours += keys(e).toInt
+      val (nodes, offsets, neighbours) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofInt, new ArrayBuilder.ofInt)
+      var e = 0
+      while (e < keys.length) {
+        if (e == 0 || keys(e) != keys(e - 1)) {
+          if (e == 0 || (keys(e) >>> 32) != (keys(e - 1) >>> 32)) { nodes += (keys(e) >>> 32).toInt; offsets += neighbours.length }
+          neighbours += keys(e).toInt
+        }
+        e += 1
       }
       offsets += neighbours.length
       Iterator.single(CsrBlock(nodes.result(), offsets.result(), neighbours.result()))
-    }.setName("adjacency").persist(StorageLevel.MEMORY_ONLY)
+    }.setName("adjacency").localCheckpoint()
   }
 
   /** W·F for an n×c matrix ``f`` on the driver — one hop of message
@@ -276,9 +414,9 @@ object GraphOps {
     require(f.rows == g.n, s"F has ${f.rows} rows, the graph ${g.n} nodes")
     val c = f.cols
     val out = zeros(g.n, c)
-    val shared = g.adjacency.sparkContext.broadcast(f.data)
+    val shared = g.adjacency.sparkContext.broadcast(new Packed(Array.emptyIntArray, f.data))
     try runJob(g.adjacency) { (_, blocks) =>
-      val x = shared.value
+      val x = shared.value.doubles
       blocks.map { b =>
         val sums = new Array[Double](b.nodes.length * c)
         var r = 0
@@ -292,10 +430,17 @@ object GraphOps {
           }
           r += 1
         }
-        (b.nodes, sums)
+        new Packed(b.nodes, sums)
       }.toArray
-    } { (_, rows) =>
-      for ((nodes, sums) <- rows; r <- nodes.indices; j <- 0 until c) out.data(nodes(r) * c + j) += sums(r * c + j)
+    } { (_, blocks) =>
+      for (b <- blocks) {
+        var r = 0
+        while (r < b.ints.length) {
+          var j = 0
+          while (j < c) { out.data(b.ints(r) * c + j) += b.doubles(r * c + j); j += 1 }
+          r += 1
+        }
+      }
     }
     finally shared.destroy()
     out
@@ -377,7 +522,7 @@ object GraphOps {
 
   /** Build a SparseGraph from an undirected edge list (one direction): one
     * narrow pass over the table's own planned query reads (src, dst)
-    * ([[idColumn]]), checks the node ids ([[nodeId]]), drops self-loops and
+    * ([[idColumn]]), checks the node ids ([[IdColumn.node]]), drops self-loops and
     * emits both directions; one hash shuffle by ``dst`` into
     * ``spark.sql.shuffle.partitions`` partitions capped at the default
     * parallelism (every hop runs one task per partition) follows; and
@@ -387,7 +532,8 @@ object GraphOps {
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
     val (src, dst) = (idColumn(undirected, "src"), idColumn(undirected, "dst"))
     val both = undirected.queryExecution.toRdd.flatMap { r =>
-      val (a, b) = (nodeId(src(r), n), nodeId(dst(r), n))
+      val a = src.node(r, n)
+      val b = dst.node(r, n)
       if (a == b) Nil else Seq((a, b), (b, a))
     }
     val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)

@@ -1,7 +1,12 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import scala.reflect.ClassTag
+import org.apache.spark.sql.Encoder
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.eval.Accuracy
 import repro.linalg.Dense
 import repro.testutil.{DenseRef, LocalGraphs, SparkCounters, SparkDraw}
 
@@ -320,6 +325,69 @@ class GraphOpsSpec extends SparkSpec {
     val added = spark.sparkContext.getPersistentRDDs.keySet -- before
     assert(jobs <= 2, s"$jobs jobs")
     assert(added == Set(built.adjacency.id), s"persisted RDDs added: $added")
+  }
+
+  test("the CSR blocks' lineage is cut: after fromUndirected, and after the first job on SparseGraph(n, g.edges)") {
+    val built = LocalGraphs.graph(spark, n, edgeList)
+    val rebuilt = SparseGraph(n, built.edges)
+    assert(!rebuilt.adjacency.isCheckpointed)
+    rebuilt.degrees
+    for (graph <- Seq(built, rebuilt)) {
+      assert(graph.adjacency.isCheckpointed)
+      assert(graph.adjacency.dependencies.map(_.rdd.getClass.getSimpleName) == Seq("LocalCheckpointRDD"))
+    }
+  }
+
+  test("a hop on a graph whose blocks were released fails, naming the missing block") {
+    val built = LocalGraphs.graph(spark, n, edgeList)
+    built.adjacency.unpersist(blocking = true)
+    val e = intercept[Exception](GraphOps.multiply(built, DenseRef.random(n, 3, seed = 17)))
+    assert(mentions(e, s"Checkpoint block rdd_${built.adjacency.id}_"), e.toString)
+  }
+
+  test("Packed survives Java serialization bit for bit: NaN, −0.0, infinities, empty arrays and several chunks") {
+    def roundTrip(p: Packed): Packed = {
+      val bytes = new ByteArrayOutputStream
+      val out = new ObjectOutputStream(bytes)
+      out.writeObject(p)
+      out.close()
+      new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[Packed]
+    }
+    val doubles = Array(1.5, -0.0, Double.NaN, java.lang.Double.longBitsToDouble(0x7ff8000000000123L),
+      Double.PositiveInfinity, Double.MinPositiveValue, -3e300)
+    for ((ints, ds) <- Seq((Array(0, -1, Int.MaxValue, Int.MinValue), doubles), (Array.emptyIntArray, doubles),
+        (Array(7), Array.emptyDoubleArray), (Array.emptyIntArray, Array.emptyDoubleArray),
+        (Array.tabulate(2 * Packed.Chunk + 3)(i => i * 7919), Array.tabulate(3 * Packed.Chunk + 1)(i => math.sin(i.toDouble))))) {
+      val back = roundTrip(new Packed(ints, ds))
+      assert(back.ints.sameElements(ints))
+      assert(back.doubles.map(java.lang.Double.doubleToRawLongBits).sameElements(ds.map(java.lang.Double.doubleToRawLongBits)))
+    }
+  }
+
+  test("the label read's job path fails on a null node, a null class, a double column and a class beyond the Int range") {
+    import spark.implicits._
+    def cached[T <: Product: Encoder: ClassTag](rows: Seq[T]) = {
+      val t = spark.createDataset(spark.sparkContext.parallelize(rows, 2)).toDF("node", "cls").cache()
+      t.count()
+      assert(!t.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+      t
+    }
+    val nullNode = cached(Seq[(Option[Long], Int)]((Some(0L), 0), (None, 1)))
+    val nullClass = cached(Seq[(Long, Option[Int])]((0L, Some(0)), (1L, None)))
+    val double = cached(Seq((0.0, 0), (1.0, 1)))
+    val wide = cached(Seq((0L, 1L << 31)))
+    try {
+      for ((table, text) <- Seq(nullNode -> "node id outside [0,40): null", nullClass -> "class id outside [0,3): null",
+          double -> "id column `node` has type double", wide -> "class id outside [0,3): 2147483648")) {
+        val e = intercept[Exception](GraphOps.collectLabels(table, n, 3))
+        assert(mentions(e, text), e.toString)
+      }
+      for ((table, text) <- Seq(nullNode -> "(node, cls) = (null, 1)", nullClass -> "(node, cls) = (1, null)",
+          double -> "id column `node` has type double")) {
+        val e = intercept[IllegalArgumentException](Accuracy.sampleSeeds(table, 0.5))
+        assert(e.getMessage.contains(text), e.getMessage)
+      }
+    } finally Seq(nullNode, nullClass, double, wide).foreach(_.unpersist(blocking = true))
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {
