@@ -193,6 +193,7 @@ object Estimators {
     * ρ(W) is ``rhoW`` if given, else
     * the graph's own [[SparseGraph.rho]], and every batch uses it. A split
     * with no seeds fails, naming it; one with nothing held out fails scoring.
+    * Fewer than one split (``b`` < 1) fails before any read.
     */
   def holdout(
       g: SparseGraph,
@@ -204,6 +205,7 @@ object Estimators {
       s: Double = LinBP.DefaultS,
       seed: Long = 0,
       rhoW: Option[Double] = None): EstimationResult = {
+    require(b >= 1, s"Holdout needs b >= 1 splits, got b = $b")
     val rho = LinBP.nonZeroRho(rhoW.getOrElse(g.rho))
     val labels = GraphOps.collectLabels(seedLabels, g.n, k)
     val splits = (1 to b).map { i =>

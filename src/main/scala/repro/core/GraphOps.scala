@@ -33,14 +33,14 @@ final class SparseGraph(val n: Long, val adjacency: RDD[CsrBlock]) {
 
   /** Node degrees on the driver, n entries (0 for an isolated node): the
     * CSR row lengths, W·1, with one job ([[GraphOps.runJob]]) that sends
-    * each block's nodes and offsets.
+    * each block's nodes and row lengths, scattered as a hop's sums are.
     */
   lazy val degrees: Array[Double] = {
-    val out = GraphOps.zeros(n, 1).data
-    GraphOps.runJob(adjacency)((_, blocks) => blocks.map(b => (b.nodes, b.offsets)).toArray) { (_, rows) =>
-      for ((nodes, offsets) <- rows; r <- nodes.indices) out(nodes(r)) += offsets(r + 1) - offsets(r)
-    }
-    out
+    val out = GraphOps.zeros(n, 1)
+    GraphOps.runJob(adjacency) { (_, blocks) =>
+      blocks.map(b => new Packed(b.nodes, Array.tabulate(b.nodes.length)(r => (b.offsets(r + 1) - b.offsets(r)).toDouble))).toArray
+    }(GraphOps.scatter(out))
+    out.data
   }
 
   /** Spectral radius ρ(W) ([[GraphOps.spectralRadius]], 25 iterations),
@@ -85,55 +85,19 @@ final case class CsrBlock(nodes: Array[Int], offsets: Array[Int], neighbours: Ar
   */
 private[core] final class IdColumn(ordinal: Int, width: Int) extends Serializable {
 
-  def isNull(r: InternalRow): Boolean = r.isNullAt(ordinal)
-
-  /** The id of ``r``, which is not null. */
-  def apply(r: InternalRow): Long = width match {
-    case 8 => r.getLong(ordinal)
-    case 4 => r.getInt(ordinal)
-    case 2 => r.getShort(ordinal)
-    case _ => r.getByte(ordinal)
-  }
-
-  /** The id of ``r`` as a node id, failing when it is null or outside [0, n). */
-  def node(r: InternalRow, n: Long): Long = {
-    if (isNull(r)) throw GraphOps.outside("node", n, null)
-    val id = apply(r)
-    if (id < 0 || id >= n) throw GraphOps.outside("node", n, id)
-    id
-  }
-}
-
-/** One partition's (node, cls) ids as primitive arrays: row i is
-  * (``nodes(i)``, ``classes(i)``), except that the rows at ``nullNodes``
-  * have a null node and those at ``nullClasses`` a null class.
-  */
-private[core] final case class IdPairs(nodes: Array[Long], classes: Array[Long], nullNodes: Array[Int], nullClasses: Array[Int]) {
-
-  /** The rows as boxed pairs, a null id as null. */
-  def boxed: Array[(Any, Any)] = {
-    val out = Array.tabulate[(Any, Any)](nodes.length)(i => (nodes(i), classes(i)))
-    for (i <- nullNodes) out(i) = (null, out(i)._2)
-    for (i <- nullClasses) out(i) = (out(i)._1, null)
-    out
-  }
-}
-
-private[core] object IdPairs {
-
-  /** The (node, cls) ids of ``rows``, read by ``columns``. */
-  def read(columns: (IdColumn, IdColumn), rows: Iterator[InternalRow]): IdPairs = {
-    val (node, cls) = columns
-    val (nodes, classes) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong)
-    val (nullNodes, nullClasses) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofInt)
-    var i = 0
-    while (rows.hasNext) {
-      val r = rows.next()
-      if (node.isNull(r)) { nullNodes += i; nodes += 0L } else nodes += node(r)
-      if (cls.isNull(r)) { nullClasses += i; classes += 0L } else classes += cls(r)
-      i += 1
+  /** The id of ``r`` as a ``what`` id (node or class), failing when it is
+    * null or outside [0, bound): the one check of every edge and label id.
+    */
+  def within(r: InternalRow, what: String, bound: Long): Long = {
+    if (r.isNullAt(ordinal)) throw GraphOps.outside(what, bound, null)
+    val id = width match {
+      case 8 => r.getLong(ordinal)
+      case 4 => r.getInt(ordinal)
+      case 2 => r.getShort(ordinal)
+      case _ => r.getByte(ordinal)
     }
-    IdPairs(nodes.result(), classes.result(), nullNodes.result(), nullClasses.result())
+    if (id < 0 || id >= bound) throw GraphOps.outside(what, bound, id)
+    id
   }
 }
 
@@ -141,7 +105,8 @@ private[core] object IdPairs {
   * bytes, copied in bulk through a 64 KB buffer. ObjectOutputStream writes
   * an int[] or a double[] one element at a time, and until the JIT has
   * compiled that loop it is a hop's largest cost: [[GraphOps.multiply]]
-  * broadcasts F and returns each block's sums in this form.
+  * broadcasts F and returns each block's sums in this form, the degrees
+  * come back in it, and so do a label read's ids.
   */
 private[core] final class Packed(@transient var ints: Array[Int], @transient var doubles: Array[Double]) extends Serializable {
   import Packed.Chunk
@@ -283,37 +248,55 @@ object GraphOps {
 
   private def unit(hash: Long): Double = (hash >>> 11).toDouble * (1.0 / (1L << 53))
 
-  /** The (node, cls) rows of ``labels``, collected. A node id outside
-    * [0, n) or a class id outside [0, k) fails here, before it could land
-    * in the wrong row or column.
-    */
-  def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = labelsOf(collectLabelRows(Seq(labels)).head, n, k)
+  /** The (node, cls) labels of ``labels``: [[collectLabels]] of one table. */
+  def collectLabels(labels: DataFrame, n: Long, k: Int): Labels = collectLabels(Seq(labels), n, k).head
 
-  /** The (node, cls) rows of every table of ``tables``, each id a Long or
-    * null ([[idColumn]]), read with at most one job through each table's
-    * own planned query (its memoized `queryExecution`), so a call plans
-    * nothing: a table held on the driver (a local relation) is read without
-    * a job, the others as one union of their row RDDs ([[runJob]]), whose
-    * partitions are each table's in turn. The ids are read inside the task,
-    * since a row RDD reuses its row objects, and come back as primitive
-    * arrays ([[IdPairs]]); every table's rows come back in partition order.
+  /** The (node, cls) labels of every table of ``tables``, read with at most
+    * one job through each table's own planned query (its memoized
+    * `queryExecution`), so a call plans nothing: a table held on the driver
+    * (a local relation) is read without a job, the others as one union of
+    * their row RDDs ([[runJob]]), whose partitions are each table's in turn.
+    * Both paths run the same loop ([[readLabels]]), inside the task on the
+    * job path, since a row RDD reuses its row objects. A node id outside
+    * [0, n) or a class id outside [0, k), null included, fails where it is
+    * read ([[IdColumn.within]]), before it could land in the wrong row or
+    * column; on the job path it fails the task, wrapped in Spark's
+    * exception. Every table's labels come back in partition order.
     */
-  def collectLabelRows(tables: Seq[DataFrame]): Seq[Array[(Any, Any)]] = {
+  def collectLabels(tables: Seq[DataFrame], n: Long, k: Int): Seq[Labels] = {
     val plans = tables.map(_.queryExecution)
     val columns = tables.map(t => (idColumn(t, "node"), idColumn(t, "cls")))
     val remote = plans.indices.filterNot(i => plans(i).executedPlan.isInstanceOf[LocalTableScanExec])
     val rdds = remote.map(plans(_).toRdd)
     // The table of every partition of the union.
     val owner = remote.zip(rdds).flatMap { case (i, rdd) => Seq.fill(rdd.getNumPartitions)(i) }.toArray
-    val parts = new Array[IdPairs](owner.length)
+    val parts = new Array[Packed](owner.length)
     if (remote.nonEmpty) {
       val readers = owner.map(columns)
-      runJob(new UnionRDD(plans.head.sparkSession.sparkContext, rdds))((p, rows) => IdPairs.read(readers(p), rows))(parts(_) = _)
+      runJob(new UnionRDD(plans.head.sparkSession.sparkContext, rdds))((p, rows) => readLabels(readers(p), n, k, rows))(parts(_) = _)
     }
     plans.indices.map { i =>
-      if (remote.contains(i)) owner.indices.filter(owner(_) == i).flatMap(parts(_).boxed).toArray
-      else IdPairs.read(columns(i), plans(i).executedPlan.executeCollect().iterator).boxed
+      val read =
+        if (remote.contains(i)) owner.indices.filter(owner(_) == i).map(parts)
+        else Seq(readLabels(columns(i), n, k, plans(i).executedPlan.executeCollect().iterator))
+      val (nodes, classes) = read.map(p => p.ints.splitAt(p.ints.length / 2)).unzip
+      Labels(n, k, Array.concat(nodes: _*), Array.concat(classes: _*))
     }
+  }
+
+  /** The (node, cls) ids of ``rows``, read by ``columns`` and checked
+    * against [0, n) and [0, k), as one [[Packed]] whose ints are the nodes
+    * followed by their classes.
+    */
+  private def readLabels(columns: (IdColumn, IdColumn), n: Long, k: Int, rows: Iterator[InternalRow]): Packed = {
+    val (node, cls) = columns
+    val (nodes, classes) = (new ArrayBuilder.ofInt, new ArrayBuilder.ofInt)
+    while (rows.hasNext) {
+      val r = rows.next()
+      nodes += node.within(r, "node", n).toInt
+      classes += cls.within(r, "class", k).toInt
+    }
+    new Packed(nodes.result() ++ classes.result(), Array.emptyDoubleArray)
   }
 
   /** The integral id column ``name`` of ``t``'s rows, found with the
@@ -339,25 +322,6 @@ object GraphOps {
   private[core] def outside(what: String, bound: Long, id: Any): IllegalArgumentException =
     new IllegalArgumentException(s"$what id outside [0,$bound): $id")
 
-  /** ``rows`` of (node, cls) ids as [[Labels]], failing on a node id
-    * outside [0, n) or a class id outside [0, k), null included.
-    */
-  def labelsOf(rows: Array[(Any, Any)], n: Long, k: Int): Labels = {
-    val nodes = new Array[Int](rows.length)
-    val classes = new Array[Int](rows.length)
-    for (((node, cls), i) <- rows.zipWithIndex) {
-      classes(i) = cls match {
-        case c: Long if c >= 0 && c < k => c.toInt
-        case _ => throw outside("class", k, cls)
-      }
-      nodes(i) = node match {
-        case v: Long if v >= 0 && v < n => v.toInt
-        case _ => throw outside("node", n, node)
-      }
-    }
-    Labels(n, k, nodes, classes)
-  }
-
   /** W as CSR blocks, one per partition of ``edges``, locally
     * checkpointed.
     *
@@ -365,7 +329,7 @@ object GraphOps {
     * on edges hash-partitioned by ``dst`` ([[fromUndirected]]) each block
     * holds whole rows and is built by a narrow pass over its partition, with
     * no shuffle. (dst, src) are read from the table's own planned query, and
-    * an id that is null or outside [0, n) fails the pass ([[IdColumn.node]]).
+    * an id that is null or outside [0, n) fails the pass ([[IdColumn.within]]).
     * Neighbours are sorted and kept once, so a row's sum runs in the same
     * order however the edges were read.
     *
@@ -382,7 +346,7 @@ object GraphOps {
       val packed = new ArrayBuilder.ofLong
       while (rows.hasNext) {
         val r = rows.next()
-        packed += (dst.node(r, n) << 32) | src.node(r, n)
+        packed += (dst.within(r, "node", n) << 32) | src.within(r, "node", n)
       }
       val keys = packed.result()
       java.util.Arrays.sort(keys)
@@ -432,18 +396,25 @@ object GraphOps {
         }
         new Packed(b.nodes, sums)
       }.toArray
-    } { (_, blocks) =>
-      for (b <- blocks) {
-        var r = 0
-        while (r < b.ints.length) {
-          var j = 0
-          while (j < c) { out.data(b.ints(r) * c + j) += b.doubles(r * c + j); j += 1 }
-          r += 1
-        }
-      }
-    }
+    }(scatter(out))
     finally shared.destroy()
     out
+  }
+
+  /** The driver result handler of a job whose task returns one [[Packed]]
+    * per CSR block: row r of a block, its c = ``out.cols`` doubles from
+    * r·c on, is added into row ``ints(r)`` of ``out``.
+    */
+  private[core] def scatter(out: Dense)(partition: Int, blocks: Array[Packed]): Unit = {
+    val c = out.cols
+    for (b <- blocks) {
+      var r = 0
+      while (r < b.ints.length) {
+        var j = 0
+        while (j < c) { out.data(b.ints(r) * c + j) += b.doubles(r * c + j); j += 1 }
+        r += 1
+      }
+    }
   }
 
   /** ``ms`` side by side: the n×(c₁ + c₂ + …) matrix [m₁ | m₂ | …]. */
@@ -522,7 +493,7 @@ object GraphOps {
 
   /** Build a SparseGraph from an undirected edge list (one direction): one
     * narrow pass over the table's own planned query reads (src, dst)
-    * ([[idColumn]]), checks the node ids ([[IdColumn.node]]), drops self-loops and
+    * ([[idColumn]]), checks the node ids ([[IdColumn.within]]), drops self-loops and
     * emits both directions; one hash shuffle by ``dst`` into
     * ``spark.sql.shuffle.partitions`` partitions capped at the default
     * parallelism (every hop runs one task per partition) follows; and
@@ -532,8 +503,8 @@ object GraphOps {
   def fromUndirected(spark: SparkSession, n: Long, undirected: DataFrame): SparseGraph = {
     val (src, dst) = (idColumn(undirected, "src"), idColumn(undirected, "dst"))
     val both = undirected.queryExecution.toRdd.flatMap { r =>
-      val a = src.node(r, n)
-      val b = dst.node(r, n)
+      val a = src.within(r, "node", n)
+      val b = dst.within(r, "node", n)
       if (a == b) Nil else Seq((a, b), (b, a))
     }
     val parts = math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt, spark.sparkContext.defaultParallelism)

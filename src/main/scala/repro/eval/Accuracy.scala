@@ -16,14 +16,14 @@ object Accuracy {
     * table: per class, max(1, round(f·n_c)) nodes, rounded half up, with
     * the smallest draws [[GraphOps.uniform]](seed, node), ties broken by
     * node id, so the sample depends on the seed and the labels, not on how
-    * ``labels`` is partitioned. A null or negative id fails here.
+    * ``labels`` is partitioned. The labels are read by
+    * [[GraphOps.collectLabels]] within the widest bounds [[Labels]] holds
+    * (n = k = Int.MaxValue), so a null or negative id fails there.
     */
   def sampleSeeds(labels: DataFrame, f: Double, seed: Long = 0): DataFrame = {
     require(f > 0 && f < 1, s"seed fraction must be in (0,1), got $f")
-    val rows = GraphOps.collectLabelRows(Seq(labels)).head.map {
-      case (node: Long, cls: Long) if node >= 0 && cls >= 0 && cls.isValidInt => (node, cls.toInt)
-      case (node, cls) => throw new IllegalArgumentException(s"a label needs a node id and a class id >= 0, got (node, cls) = ($node, $cls)")
-    }
+    val read = GraphOps.collectLabels(labels, Int.MaxValue, Int.MaxValue)
+    val rows = Array.tabulate(read.nodes.length)(i => (read.nodes(i).toLong, read.classes(i)))
     import Ordering.Double.TotalOrdering
     val seeds = rows.groupBy(_._2).values.flatMap { members =>
       val take = BigDecimal(members.length * f).setScale(0, BigDecimal.RoundingMode.HALF_UP).toInt.max(1)
@@ -41,12 +41,12 @@ object Accuracy {
 
   /** Accuracy of ``predictions`` (one class per node) over the labeled
     * ``truth``, excluding seed nodes. Truth and seeds are read with at most
-    * one job ([[GraphOps.collectLabelRows]]); a node id outside [0, n) or a
+    * one job ([[GraphOps.collectLabels]]); a node id outside [0, n) or a
     * class id outside [0, k) in either, for the predictions' n and k,
     * fails there.
     */
   def accuracyOf(predictions: Labels, truth: DataFrame, seeds: DataFrame): Double = {
-    val Seq(t, s) = GraphOps.collectLabelRows(Seq(truth, seeds)).map(GraphOps.labelsOf(_, predictions.n, predictions.k))
+    val Seq(t, s) = GraphOps.collectLabels(Seq(truth, seeds), predictions.n, predictions.k)
     scores(t, s, Seq(predictions)).head
   }
 
@@ -84,8 +84,9 @@ object Accuracy {
   /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched
     * run ([[LinBP.beliefs]]), then score each H on the driver against the
     * (node, cls) rows of ``truth`` whose node is not a seed: one accuracy
-    * per H. Truth and seeds are read with at most one job; a node id
-    * outside [0, n) or a class id outside [0, k) in either fails there.
+    * per H. An empty ``hs`` fails before any read. Truth and seeds are read
+    * with at most one job; a node id outside [0, n) or a class id outside
+    * [0, k) in either fails there.
     */
   def endToEnd(
       g: SparseGraph,
@@ -95,7 +96,8 @@ object Accuracy {
       iterations: Int = LinBP.DefaultIterations,
       s: Double = LinBP.DefaultS,
       rhoW: Option[Double] = None): Seq[Double] = {
-    val Seq(t, sd) = GraphOps.collectLabelRows(Seq(truth, seeds)).map(GraphOps.labelsOf(_, g.n, hs.head.rows))
+    require(hs.nonEmpty, "beliefs needs at least one H")
+    val Seq(t, sd) = GraphOps.collectLabels(Seq(truth, seeds), g.n, hs.head.rows)
     accuracies(t, sd, LinBP.beliefs(g, sd, hs, iterations, s, rhoW))
   }
 }

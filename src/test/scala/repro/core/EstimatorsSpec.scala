@@ -261,6 +261,14 @@ class EstimatorsSpec extends SparkSpec {
     assert(e.getMessage.contains("ρ(W) = 0"), e.getMessage)
   }
 
+  test("Holdout with fewer than one split fails, naming b") {
+    val seeds = repro.testutil.LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 2, 3 -> 0))
+    for (b <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Estimators.holdout(small.graph, seeds, k, b = b, maxEvals = 4))
+      assert(e.getMessage.contains(s"b >= 1 splits, got b = $b"), e.getMessage)
+    }
+  }
+
   test("end-to-end accuracy with DCEr is close to accuracy with GS (Result 2)") {
     val seeds = Accuracy.sampleSeeds(gen.labels, 0.02, seed = 11)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)

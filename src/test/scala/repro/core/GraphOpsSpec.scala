@@ -123,7 +123,10 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.spectralRadius(empty) == 0.0)
   }
 
-  test("collectLabelRows returns every table's rows in partition order, empty partitions and local tables between") {
+  /** Each of ``labels``' (node, cls) pairs, in order. */
+  private def pairs(labels: Labels): Seq[(Long, Int)] = labels.nodes.toSeq.map(_.toLong).zip(labels.classes)
+
+  test("collectLabels returns every table's labels in partition order, empty partitions and local tables between") {
     import spark.implicits._
     val truthRows = (0 until n).map(i => (i.toLong, i % 3))
     val seedRows = truthRows.filter(_._1 % 4 == 0)
@@ -133,13 +136,14 @@ class GraphOpsSpec extends SparkSpec {
       seedRows.toDF("node", "cls"),
       spark.sparkContext.parallelize(few, 4).toDF("node", "cls"),
       spark.sparkContext.parallelize(Seq.empty[(Long, Int)], 2).toDF("node", "cls"))
-    var rows = Seq.empty[Array[(Any, Any)]]
-    val counts = SparkCounters.of(spark) { rows = GraphOps.collectLabelRows(tables) }
+    var read = Seq.empty[Labels]
+    val counts = SparkCounters.of(spark) { read = GraphOps.collectLabels(tables, n, 3) }
     assert(counts.jobs == 1, counts.toString)
     val expected = Seq(truthRows, seedRows, few, Nil)
-    assert(rows.map(_.toSeq) == expected.map(_.map { case (v, c) => (v, c.toLong) }))
-    for ((got, want) <- rows.zip(expected))
-      assert(GraphOps.labelsOf(got, n, 3).oneHot == DenseRef.oneHot(n, 3, want.map { case (v, c) => v.toInt -> c }.toMap))
+    assert(read.map(pairs) == expected)
+    assert(read.forall(l => l.n == n && l.k == 3))
+    for ((got, want) <- read.zip(expected))
+      assert(got.oneHot == DenseRef.oneHot(n, 3, want.map { case (v, c) => v.toInt -> c }.toMap))
   }
 
   test("spectralRadius(g, 5) on a fresh graph starts 5 jobs") {
@@ -298,7 +302,7 @@ class GraphOpsSpec extends SparkSpec {
     assert(mentions(e, "class id outside [0,3): 2147483648"), e.toString)
   }
 
-  test("collectLabelRows reads cached tables with one job and no SQL execution, local ones with no job") {
+  test("collectLabels reads cached tables with one job and no SQL execution, local ones with no job") {
     import spark.implicits._
     val truthRows = (0 until n).map(i => (i.toLong, i % 3))
     val seedRows = truthRows.filter(_._1 % 4 == 0)
@@ -307,11 +311,10 @@ class GraphOpsSpec extends SparkSpec {
     try {
       cached.foreach(_.count())
       for ((tables, jobs) <- Seq(cached -> 1, local -> 0)) {
-        var rows = Seq.empty[Array[(Any, Any)]]
-        val counts = SparkCounters.of(spark) { rows = GraphOps.collectLabelRows(tables) }
+        var read = Seq.empty[Labels]
+        val counts = SparkCounters.of(spark) { read = GraphOps.collectLabels(tables, n, 3) }
         assert(counts.jobs == jobs && counts.sqlExecutions == 0, counts.toString)
-        assert(rows.map(_.toSeq.sortBy(_._1.asInstanceOf[Long])) ==
-          Seq(truthRows, seedRows).map(_.map { case (v, c) => (v, c.toLong) }))
+        assert(read.map(pairs(_).sortBy(_._1)) == Seq(truthRows, seedRows))
       }
     } finally cached.foreach(_.unpersist(blocking = true))
   }
@@ -376,18 +379,21 @@ class GraphOpsSpec extends SparkSpec {
     val nullClass = cached(Seq[(Long, Option[Int])]((0L, Some(0)), (1L, None)))
     val double = cached(Seq((0.0, 0), (1.0, 1)))
     val wide = cached(Seq((0L, 1L << 31)))
+    val negativeNode = cached(Seq((0L, 0), (-1L, 1)))
+    val negativeClass = cached(Seq((0L, 0), (1L, -2)))
     try {
       for ((table, text) <- Seq(nullNode -> "node id outside [0,40): null", nullClass -> "class id outside [0,3): null",
           double -> "id column `node` has type double", wide -> "class id outside [0,3): 2147483648")) {
         val e = intercept[Exception](GraphOps.collectLabels(table, n, 3))
         assert(mentions(e, text), e.toString)
       }
-      for ((table, text) <- Seq(nullNode -> "(node, cls) = (null, 1)", nullClass -> "(node, cls) = (1, null)",
-          double -> "id column `node` has type double")) {
-        val e = intercept[IllegalArgumentException](Accuracy.sampleSeeds(table, 0.5))
-        assert(e.getMessage.contains(text), e.getMessage)
+      for ((table, text) <- Seq(nullNode -> "node id outside [0,2147483647): null",
+          nullClass -> "class id outside [0,2147483647): null", double -> "id column `node` has type double",
+          negativeNode -> "node id outside [0,2147483647): -1", negativeClass -> "class id outside [0,2147483647): -2")) {
+        val e = intercept[Exception](Accuracy.sampleSeeds(table, 0.5))
+        assert(mentions(e, text), e.toString)
       }
-    } finally Seq(nullNode, nullClass, double, wide).foreach(_.unpersist(blocking = true))
+    } finally Seq(nullNode, nullClass, double, wide, negativeNode, negativeClass).foreach(_.unpersist(blocking = true))
   }
 
   test("explicitPower matches dense W^ℓ for ℓ = 1..3") {

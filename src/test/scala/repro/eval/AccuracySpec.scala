@@ -40,9 +40,11 @@ class AccuracySpec extends SparkSpec {
   test("sampleSeeds fails on a null node, a null class or a double node column, naming it") {
     import spark.implicits._
     val bad = Seq(
-      Seq((Some(0L), 0), (None, 1)).toDF("node", "cls") -> "(node, cls) = (null, 1)",
-      Seq((0L, Some(0)), (1L, None)).toDF("node", "cls") -> "(node, cls) = (1, null)",
-      Seq((0.0, 0), (1.0, 1)).toDF("node", "cls") -> "id column `node` has type double")
+      Seq((Some(0L), 0), (None, 1)).toDF("node", "cls") -> "node id outside [0,2147483647): null",
+      Seq((0L, Some(0)), (1L, None)).toDF("node", "cls") -> "class id outside [0,2147483647): null",
+      Seq((0.0, 0), (1.0, 1)).toDF("node", "cls") -> "id column `node` has type double",
+      Seq((0L, 0), (-1L, 1)).toDF("node", "cls") -> "node id outside [0,2147483647): -1",
+      Seq((0L, 0), (1L, -2)).toDF("node", "cls") -> "class id outside [0,2147483647): -2")
     for ((table, message) <- bad) {
       val e = intercept[IllegalArgumentException](Accuracy.sampleSeeds(table, 0.5))
       assert(e.getMessage.contains(message), e.getMessage)
@@ -145,6 +147,14 @@ class AccuracySpec extends SparkSpec {
     val rho = g.rho
     for (iterations <- Seq(1, 4))
       assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations, rhoW = Some(rho))) == iterations)
+  }
+
+  test("endToEnd with no H fails, naming the cause") {
+    val g = LocalGraphs.graph(spark, 4, Seq((0, 1), (1, 2), (2, 3)))
+    val truth = LocalGraphs.labels(spark, Map(0 -> 0, 1 -> 1, 2 -> 0, 3 -> 1))
+    val seeds = LocalGraphs.labels(spark, Map(0 -> 0))
+    val e = intercept[IllegalArgumentException](Accuracy.endToEnd(g, truth, seeds, Nil))
+    assert(e.getMessage.contains("beliefs needs at least one H"), e.getMessage)
   }
 
   test("the driver argmax agrees with GraphOps.argmaxLabels on tied rows") {
