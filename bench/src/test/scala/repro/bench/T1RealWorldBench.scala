@@ -6,7 +6,7 @@ import repro.tables.T1RealWorld
 /** T1 — Fig. 8 + Fig. 14 over the 8 real-world surrogates. */
 class T1RealWorldBench extends SparkSpec {
 
-  private lazy val rows = T1RealWorld.run(spark, maxEdges = 120000, f = 0.01, seed = 0)
+  private lazy val rows = T1RealWorld.run(spark)
 
   test("T1: print table") {
     println(T1RealWorld.format(rows))

@@ -6,8 +6,7 @@ import repro.tables.T2Scalability
 /** T2 — Fig. 3b / Fig. 6k: estimation vs propagation wall-clock. */
 class T2ScalabilityBench extends SparkSpec {
 
-  private lazy val rows = T2Scalability.run(spark,
-    sizes = Seq(2000L, 8000L, 32000L, 100000L), holdoutMaxN = 2000L, holdoutEvals = 10)
+  private lazy val rows = T2Scalability.run(spark)
 
   test("T2: print table") {
     println(T2Scalability.format(rows))

@@ -6,53 +6,33 @@ import repro.tables._
 /** spark-submit entrypoint for the evaluation tables (DESIGN.md §4): runs
   * one table and prints it.
   *
-  * Usage: Tables <table> [args…], e.g. `Tables T3 10000 0`; every
-  * positional argument is optional and listed per table by running with no
-  * arguments. `SPARK_MASTER` (default local[*]) and
-  * `SPARK_SHUFFLE_PARTITIONS` (default 64) configure the session.
+  * Usage: Tables <T1..T11> [seed], e.g. `Tables T3 0`. Each table's
+  * parameters are constants of its harness, so this runs exactly what its
+  * bench suite runs; the seed (default 0) is the only input.
+  * `SPARK_MASTER` (default local[*]) and `SPARK_SHUFFLE_PARTITIONS`
+  * (default 64) configure the session.
   */
 object Tables {
 
-  /** Positional arguments after the table name, each with its default. */
-  private final class Args(a: Seq[String]) {
-    def long(i: Int, default: Long): Long = a.lift(i).fold(default)(_.toLong)
-    def double(i: Int, default: Double): Double = a.lift(i).fold(default)(_.toDouble)
-    def int(i: Int, default: Int): Int = a.lift(i).fold(default)(_.toInt)
-  }
-
-  private final case class Table(args: String, run: (SparkSession, Args) => String)
-
-  private val tables: Seq[(String, Table)] = Seq(
-    "T1" -> Table("[maxEdges] [f] [seed]", (s, a) => T1RealWorld.format(
-      T1RealWorld.run(s, maxEdges = a.long(0, 150000L), f = a.double(1, 0.01), seed = a.long(2, 0L)))),
-    "T2" -> Table("[maxN] [f] [seed]", (s, a) => T2Scalability.format(
-      T2Scalability.run(s, sizes = Seq(2000L, 8000L, 32000L, 100000L, 300000L).filter(_ <= a.long(0, 100000L)),
-        f = a.double(1, 0.01), seed = a.long(2, 0L)))),
-    "T3" -> Table("[n] [seed]", (s, a) => T3AccuracyVsF.format(
-      T3AccuracyVsF.run(s, n = a.long(0, 10000L), seed = a.long(1, 0L)))),
-    "T4" -> Table("[n] [f] [seed]", (s, a) => T4Consistency.format(
-      T4Consistency.run(s, n = a.long(0, 10000L), f = a.double(1, 0.1), seed = a.long(2, 0L)))),
-    "T5" -> Table("[n] [explicitMaxL] [seed]", (s, a) => T5Factorized.format(
-      T5Factorized.run(s, n = a.long(0, 3000L), explicitMaxL = a.int(1, 4), seed = a.long(2, 0L)))),
-    "T6" -> Table("[n] [f] [seed]", (s, a) => T6Restarts.format(
-      T6Restarts.run(s, n = a.long(0, 10000L), f = a.double(1, 0.003), seed = a.long(2, 0L)))),
-    "T7" -> Table("[n] [f] [seed]", (s, a) => T7Classes.format(
-      T7Classes.run(s, n = a.long(0, 10000L), f = a.double(1, 0.05), seed = a.long(2, 0L)))),
-    "T8" -> Table("[n] [seed]", (s, a) => T8Imbalance.format(
-      T8Imbalance.run(s, n = a.long(0, 10000L), seed = a.long(1, 0L)))),
-    "T9" -> Table("[n] [seed]", (s, a) => T9Baselines.format(
-      T9Baselines.run(s, n = a.long(0, 10000L), seed = a.long(1, 0L)))),
-    "T10" -> Table("[maxEdges] [f] [seed]", (s, a) => T10Heuristics.format(
-      T10Heuristics.run(s, maxEdges = a.long(0, 100000L), f = a.double(1, 0.01), seed = a.long(2, 0L)))),
-    "T11" -> Table("[n] [f] [seed]", (s, a) => T11Sensitivity.format(
-      T11Sensitivity.run(s, n = a.long(0, 10000L), f = a.double(1, 0.01), seed = a.long(2, 0L)))))
+  private val tables: Seq[(String, (SparkSession, Long) => String)] = Seq(
+    "T1" -> ((s, seed) => T1RealWorld.format(T1RealWorld.run(s, seed))),
+    "T2" -> ((s, seed) => T2Scalability.format(T2Scalability.run(s, seed))),
+    "T3" -> ((s, seed) => T3AccuracyVsF.format(T3AccuracyVsF.run(s, seed))),
+    "T4" -> ((s, seed) => T4Consistency.format(T4Consistency.run(s, seed))),
+    "T5" -> ((s, seed) => T5Factorized.format(T5Factorized.run(s, seed))),
+    "T6" -> ((s, seed) => T6Restarts.format(T6Restarts.run(s, seed))),
+    "T7" -> ((s, seed) => T7Classes.format(T7Classes.run(s, seed))),
+    "T8" -> ((s, seed) => T8Imbalance.format(T8Imbalance.run(s, seed))),
+    "T9" -> ((s, seed) => T9Baselines.format(T9Baselines.run(s, seed))),
+    "T10" -> ((s, seed) => T10Heuristics.format(T10Heuristics.run(s, seed))),
+    "T11" -> ((s, seed) => T11Sensitivity.format(T11Sensitivity.run(s, seed))))
 
   def main(args: Array[String]): Unit = {
-    val (name, table) = args.headOption.flatMap(n => tables.find(_._1 == n)).getOrElse {
-      System.err.println(("Usage: Tables <table> [args…]" +: tables.map { case (n, t) => s"  $n ${t.args}" })
-        .mkString("\n"))
+    val (name, run) = args.headOption.filter(_ => args.length <= 2).flatMap(n => tables.find(_._1 == n)).getOrElse {
+      System.err.println(s"Usage: Tables <${tables.map(_._1).mkString("|")}> [seed]")
       sys.exit(2)
     }
+    val seed = args.lift(1).fold(0L)(_.toLong)
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
@@ -61,6 +41,6 @@ object Tables {
       .config("spark.ui.enabled", value = false)
       .getOrCreate()
     spark.sparkContext.setLogLevel("WARN")
-    try println(table.run(spark, new Args(args.toSeq.tail))) finally spark.stop()
+    try println(run(spark, seed)) finally spark.stop()
   }
 }

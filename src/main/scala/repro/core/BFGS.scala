@@ -52,6 +52,12 @@ object BFGS {
       backtracks: Int,
       stop: Stop)
 
+  /** Sufficient-decrease constant of the Armijo test. */
+  private val ArmijoC = 1e-4
+
+  /** Step halvings the line search tries before it gives up. */
+  private val MaxBacktracks = 60
+
   /** Minimize f by BFGS with Armijo backtracking. ``fg`` is called once at
     * ``x0`` and once per trial point of the line search; the accepted
     * point's value and gradient are kept, so a run costs
@@ -68,9 +74,7 @@ object BFGS {
       fg: Array[Double] => (Double, Array[Double]),
       x0: Array[Double],
       maxIters: Int = 500,
-      gradTol: Double = 1e-9,
-      armijoC: Double = 1e-4,
-      maxBacktracks: Int = 60): Result = {
+      gradTol: Double = 1e-9): Result = {
     val d = x0.length
     var x = x0.clone()
     var (fx, gx) = fg(x)
@@ -109,10 +113,10 @@ object BFGS {
       var t = 1.0
       var bt = 0
       var accepted: (Array[Double], Double, Array[Double]) = null
-      while (accepted == null && bt < maxBacktracks) {
+      while (accepted == null && bt < MaxBacktracks) {
         val cand = Array.tabulate(d)(i => x(i) + t * dir(i))
         val (fc, gc) = fg(cand)
-        if (fc <= fx + armijoC * t * slope) accepted = (cand, fc, gc)
+        if (fc <= fx + ArmijoC * t * slope) accepted = (cand, fc, gc)
         else { t /= 2.0; bt += 1 }
       }
       backtracks += bt

@@ -117,15 +117,15 @@ object CompatibilityMatrix {
       m.rowSums.forall(s => math.abs(s - 1.0) <= tol) &&
       (m - m.t).maxAbs <= tol
 
-  /** Nearest symmetric doubly-stochastic matrix by Sinkhorn iteration on a
+  /** Nearest symmetric doubly-stochastic matrix by 500 Sinkhorn rounds on a
     * positive matrix, used to turn hand-specified patterns (e.g. the
     * Hep-Th band surrogate) into valid planted matrices.
     */
-  def sinkhorn(m: Dense, iters: Int = 500): Dense = {
+  def sinkhorn(m: Dense): Dense = {
     require(m.isSquare && m.data.forall(_ >= 0), "sinkhorn needs a nonnegative square matrix")
     var cur = m.map(x => math.max(x, 1e-12))
     var it = 0
-    while (it < iters) {
+    while (it < 500) {
       cur = cur.rowNormalized
       cur = cur.t.rowNormalized.t
       it += 1

@@ -371,15 +371,17 @@ object GraphOps {
     * broadcast, each CSR block sums its rows, and the driver scatters each
     * block's sums into the result as they arrive (a node in no block has no
     * neighbour and gets a zero row). A row lies in one block, so the order
-    * in which blocks arrive changes no sum. The broadcast is destroyed
-    * after the job.
+    * in which blocks arrive changes no sum. The broadcast is left to Spark's
+    * ContextCleaner, which removes it once it is unreachable: `destroy()`
+    * removes asynchronously, and the cleaner would later remove the same id
+    * a second time.
     */
   def multiply(g: SparseGraph, f: Dense): Dense = {
     require(f.rows == g.n, s"F has ${f.rows} rows, the graph ${g.n} nodes")
     val c = f.cols
     val out = zeros(g.n, c)
     val shared = g.adjacency.sparkContext.broadcast(new Packed(Array.emptyIntArray, f.data))
-    try runJob(g.adjacency) { (_, blocks) =>
+    runJob(g.adjacency) { (_, blocks) =>
       val x = shared.value.doubles
       blocks.map { b =>
         val sums = new Array[Double](b.nodes.length * c)
@@ -397,7 +399,6 @@ object GraphOps {
         new Packed(b.nodes, sums)
       }.toArray
     }(scatter(out))
-    finally shared.destroy()
     out
   }
 

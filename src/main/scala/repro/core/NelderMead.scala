@@ -15,6 +15,9 @@ object NelderMead {
 
   final case class Result(x: Array[Double], value: Double, evals: Int)
 
+  /** The run stops once the simplex's best and worst values are this close. */
+  private val Tol = 1e-6
+
   /** Minimize an objective that evaluates a batch of points per call.
     *
     * Points that do not depend on each other's values go in one batch: the
@@ -29,8 +32,7 @@ object NelderMead {
       fs: Seq[Array[Double]] => Seq[Double],
       x0: Array[Double],
       initialStep: Double = 0.1,
-      maxEvals: Int = 200,
-      tol: Double = 1e-6): Result = {
+      maxEvals: Int = 200): Result = {
     val d = x0.length
     var evals = 0
     def evalAll(xs: Seq[Array[Double]]): Seq[(Array[Double], Double)] = {
@@ -50,7 +52,7 @@ object NelderMead {
     def sorted(): Unit = simplex = simplex.sortBy(_._2)
 
     sorted()
-    while (evals < maxEvals && math.abs(simplex.last._2 - simplex.head._2) > tol) {
+    while (evals < maxEvals && math.abs(simplex.last._2 - simplex.head._2) > Tol) {
       val best = simplex.head
       val worst = simplex.last
       val centroid = Array.tabulate(d)(i => simplex.dropRight(1).map(_._1(i)).sum / d)

@@ -19,21 +19,22 @@ import repro.linalg.Dense
   * which costs O(m·k·ℓmax) total (Prop. 4.5). The sketches are O(k²·ℓmax)
   * — independent of the graph — so estimation runs on the driver.
   *
-  * ``seedsPerClass`` holds the seeds of each class ([[Sketch.compute]]
-  * fills it; empty when not recorded) and [[Sketches.evidence]] the
-  * labeled pairs per class, so a sketch shows how much evidence each row
-  * of P̂ rests on.
+  * ``seedsPerClass`` holds the seeds of each class and
+  * [[Sketches.evidence]] the labeled pairs per class, so a sketch shows
+  * how much evidence each row of P̂ rests on.
   */
 final case class Sketches(
     k: Int,
     lmax: Int,
-    nLabeled: Long,
     mFull: IndexedSeq[Dense],
     mNB: IndexedSeq[Dense],
-    seedsPerClass: IndexedSeq[Long] = Vector.empty) {
+    seedsPerClass: IndexedSeq[Long]) {
 
   require(mFull.length == lmax && mNB.length == lmax, "need one matrix per length")
-  require(seedsPerClass.isEmpty || seedsPerClass.length == k, "need one seed count per class, or none")
+  require(seedsPerClass.length == k, "need one seed count per class")
+
+  /** The labeled nodes, n_L: the seeds of every class. */
+  def nLabeled: Long = seedsPerClass.sum
 
   /** The evidence behind P̂_NB⁽ℓ⁾ (1-based ℓ): the row sums of M_NB⁽ℓ⁾,
     * the non-backtracking labeled pairs that start in each class.
@@ -107,6 +108,6 @@ object Sketch {
       f = GraphOps.columns(wAF, k, k)
       (xt * a, xt * f)
     }.unzip
-    Sketches(k, lmax, labels.nodes.length, mFull, mNB, seedsPerClass.toVector)
+    Sketches(k, lmax, mFull, mNB, seedsPerClass.toVector)
   }
 }

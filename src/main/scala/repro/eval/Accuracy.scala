@@ -84,9 +84,10 @@ object Accuracy {
   /** Label with LinBP from ``seeds`` under every H of ``hs`` in one batched
     * run ([[LinBP.beliefs]]), then score each H on the driver against the
     * (node, cls) rows of ``truth`` whose node is not a seed: one accuracy
-    * per H. An empty ``hs`` fails before any read. Truth and seeds are read
-    * with at most one job; a node id outside [0, n) or a class id outside
-    * [0, k) in either fails there.
+    * per H, with the graph's own ρ(W) ([[SparseGraph.rho]]). An empty
+    * ``hs`` fails before any read. Truth and seeds are read with at most
+    * one job; a node id outside [0, n) or a class id outside [0, k) in
+    * either fails there.
     */
   def endToEnd(
       g: SparseGraph,
@@ -94,10 +95,9 @@ object Accuracy {
       seeds: DataFrame,
       hs: Seq[Dense],
       iterations: Int = LinBP.DefaultIterations,
-      s: Double = LinBP.DefaultS,
-      rhoW: Option[Double] = None): Seq[Double] = {
+      s: Double = LinBP.DefaultS): Seq[Double] = {
     require(hs.nonEmpty, "beliefs needs at least one H")
     val Seq(t, sd) = GraphOps.collectLabels(Seq(truth, seeds), g.n, hs.head.rows)
-    accuracies(t, sd, LinBP.beliefs(g, sd, hs, iterations, s, rhoW))
+    accuracies(t, sd, LinBP.beliefs(g, sd, hs, iterations, s))
   }
 }

@@ -3,12 +3,12 @@ package repro.linalg
 /** Minimal immutable dense matrix for driver-side math.
   *
   * Used for the k×k compatibility algebra (powers, gradients, Frobenius
-  * distances) and as the n×n *reference implementation* that the
-  * distributed DataFrame operators are tested against. Row-major storage.
+  * distances) and for the n×k belief and sketch iterates held on the
+  * driver. Row-major storage.
   *
-  * This is deliberately dependency-free: the only driver-side linear
-  * algebra the paper's method needs is on k×k matrices (k ≤ ~12), so a
-  * simple O(n³) multiply is more than enough.
+  * This is deliberately dependency-free: every product the method forms
+  * has at most one dimension of size n, the others k ≤ ~12, so a simple
+  * triple-loop multiply costs O(n·k²) at most.
   */
 final class Dense(val rows: Int, val cols: Int, val data: Array[Double]) {
   require(data.length == rows * cols, s"bad shape: $rows x $cols vs ${data.length}")
@@ -123,20 +123,21 @@ final class Dense(val rows: Int, val cols: Int, val data: Array[Double]) {
     s
   }
 
-  /** Spectral radius by power iteration.
+  /** Spectral radius by 300 power iterations from a fixed random start
+    * (seed 7).
     *
     * Exact for symmetric matrices (all our uses: W, H, H̃ are symmetric);
     * for general matrices it returns the dominant-eigenvalue magnitude
     * when one exists.
     */
-  def spectralRadius(iters: Int = 300, seed: Long = 7): Double = {
+  def spectralRadius(): Double = {
     require(isSquare, "spectralRadius needs a square matrix")
     if (maxAbs == 0.0) return 0.0
-    val rnd = new scala.util.Random(seed)
+    val rnd = new scala.util.Random(7)
     var v = Array.fill(rows)(rnd.nextDouble() + 0.1)
     var lambda = 0.0
     var it = 0
-    while (it < iters) {
+    while (it < 300) {
       val w = new Array[Double](rows)
       var i = 0
       while (i < rows) {

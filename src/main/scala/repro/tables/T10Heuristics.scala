@@ -22,21 +22,20 @@ object T10Heuristics {
       accHeuristic: Double,
       random: Double)
 
-  def run(
-      spark: SparkSession,
-      maxEdges: Long = 100000,
-      f: Double = 0.01,
-      seed: Long = 0): Seq[Row] = {
+  private val MaxEdges = 100000L
+  private val F = 0.01
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     Seq(RealWorld.movieLens, RealWorld.prop37).map { full =>
-      val spec = full.scaled(maxEdges)
+      val spec = full.scaled(MaxEdges)
       val gen = RealWorld.generate(spark, spec, seed)
       val gs = Accuracy.measuredGS(gen.graph, gen.labels, spec.k)
-      val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+      val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
       val sk = Sketch.compute(gen.graph, seeds, spec.k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 2)
       val heur = Heuristics.twoValue(gs)
       val Seq(accGS, accDcer, accHeur) = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, heur))
-      Row(spec.name, f, accGS, accDcer, accHeur, 1.0 / spec.k)
+      Row(spec.name, F, accGS, accDcer, accHeur, 1.0 / spec.k)
     }
   }
 

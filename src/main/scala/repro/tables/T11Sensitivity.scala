@@ -22,19 +22,17 @@ object T11Sensitivity {
 
   final case class Result(variants: Seq[VariantRow], lambdas: Seq[LambdaRow])
 
-  def run(
-      spark: SparkSession,
-      n: Long = 10000,
-      avgDegree: Double = 10.0,
-      hSkew: Double = 8.0,
-      f: Double = 0.01,
-      seed: Long = 0): Result = {
+  private val N = 10000L
+  private val AvgDegree = 10.0
+  private val F = 0.01
+
+  def run(spark: SparkSession, seed: Long = 0): Result = {
     val k = 3
-    val h = CompatibilityMatrix.planted(k, hSkew)
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val h = CompatibilityMatrix.planted(k, 8.0)
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+    val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
 
     val variants = for (v <- 1 to 3; lm <- Seq(1, 3, 5)) yield {

@@ -8,7 +8,7 @@ import repro.eval.{Accuracy, RealWorld}
   * (L2 distance of the DCEr estimate from the gold standard), over the 8
   * real-world dataset surrogates.
   *
-  * Large datasets are scaled down to `maxEdges` (see DESIGN.md §2 —
+  * Large datasets are scaled down to [[MaxEdges]] (see DESIGN.md §2 —
   * Spark local[*] replaces the paper's single-core NumPy, and the bench
   * budget replaces their hours); the reported n/m are the generated ones.
   */
@@ -27,17 +27,16 @@ object T1RealWorld {
       accGS: Double,
       accDCEr: Double)
 
-  def run(
-      spark: SparkSession,
-      maxEdges: Long = 150000,
-      f: Double = 0.01,
-      seed: Long = 0): Seq[Row] = {
+  private val MaxEdges = 120000L
+  private val F = 0.01
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     RealWorld.all.map { full =>
-      val spec = full.scaled(maxEdges)
+      val spec = full.scaled(MaxEdges)
       val gen = RealWorld.generate(spark, spec, seed)
       val m = gen.graph.m
       val gs = Accuracy.measuredGS(gen.graph, gen.labels, spec.k)
-      val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+      val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, spec.k, lmax = 5))
       val (dcer, tOpt) = TableUtil.timed(
         Estimators.dcer(sk, restarts = 10, seed = seed + 2))

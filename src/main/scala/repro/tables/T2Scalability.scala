@@ -31,20 +31,19 @@ object T2Scalability {
       lceMs: Long,
       holdoutMs: Long)    // −1 when skipped
 
-  def run(
-      spark: SparkSession,
-      sizes: Seq[Long] = Seq(2000L, 8000L, 32000L, 100000L),
-      avgDegree: Double = 10.0,
-      f: Double = 0.01,
-      holdoutMaxN: Long = 2000L,
-      holdoutEvals: Int = 10,
-      seed: Long = 0): Seq[Row] = {
+  private val Sizes = Seq(2000L, 8000L, 32000L, 100000L)
+  private val AvgDegree = 10.0
+  private val F = 0.01
+  private val HoldoutMaxN = 2000L // Holdout runs at this size and below
+  private val HoldoutEvals = 10
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
     val h = CompatibilityMatrix.planted(k, 8.0)
     def row(n: Long): Row = {
-      val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+      val gen = PlantedGraph.generate(spark, n, math.round(n * AvgDegree / 2),
         Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed + n)
-      val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+      val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
       val (_, tRho) = TableUtil.timed(gen.graph.rho)
       val (_, tProp) = TableUtil.timed(LinBP.run(gen.graph, seeds, h, iterations = 10))
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
@@ -53,16 +52,16 @@ object T2Scalability {
       val (dcer, tDcer) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed))
       val (_, tLce) = TableUtil.timed(Estimators.lce(sk))
       val tHoldout =
-        if (n <= holdoutMaxN)
+        if (n <= HoldoutMaxN)
           TableUtil.timed(Estimators.holdout(gen.graph, seeds, k, b = 1,
-            maxEvals = holdoutEvals, seed = seed))._2
+            maxEvals = HoldoutEvals, seed = seed))._2
         else -1L
       Row(n, gen.graph.m, tRho, tProp, tSketch, tMce, tDce, tDcer, dcer.converged, dcer.stop.get, tLce, tHoldout)
     }
     // One untimed pass first, so the first timed row does not pay the
     // session's JIT and codegen warm-up.
-    sizes.take(1).foreach(row)
-    sizes.map(row)
+    Sizes.take(1).foreach(row)
+    Sizes.map(row)
   }
 
   def format(rows: Seq[Row]): String =

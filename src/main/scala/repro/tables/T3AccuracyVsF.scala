@@ -27,21 +27,19 @@ object T3AccuracyVsF {
       l2DCEr: Double,
       l2MCE: Double)
 
-  def run(
-      spark: SparkSession,
-      n: Long = 10000,
-      avgDegree: Double = 10.0,
-      hSkew: Double = 8.0,
-      fs: Seq[Double] = Seq(0.0008, 0.003, 0.01, 0.03, 0.1),
-      holdoutFs: Set[Double] = Set(0.01),
-      holdoutEvals: Int = 15,
-      seed: Long = 0): Seq[Row] = {
+  private val N = 10000L
+  private val AvgDegree = 10.0
+  private val Fs = Seq(0.0008, 0.003, 0.01, 0.03, 0.1)
+  private val HoldoutFs = Set(0.01) // Holdout runs only at these f
+  private val HoldoutEvals = 15
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
-    val h = CompatibilityMatrix.planted(k, hSkew)
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val h = CompatibilityMatrix.planted(k, 8.0)
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    fs.map { f =>
+    Fs.map { f =>
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 7)
@@ -49,8 +47,8 @@ object T3AccuracyVsF {
       val mce = Estimators.mce(sk)
       val lce = Estimators.lce(sk)
       val hold =
-        if (holdoutFs.contains(f))
-          Seq(Estimators.holdout(gen.graph, seeds, k, b = 1, maxEvals = holdoutEvals, seed = seed).h)
+        if (HoldoutFs.contains(f))
+          Seq(Estimators.holdout(gen.graph, seeds, k, b = 1, maxEvals = HoldoutEvals, seed = seed).h)
         else Nil
       val accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, Seq(gs, dcer.h, dce.h, mce.h, lce.h) ++ hold)
       Row(f, seeds.count(), accs(0), accs(1), accs(2), accs(3), accs(4),

@@ -23,23 +23,22 @@ object T4Consistency {
       l2NB: Double,     // ‖P̂_NB⁽ℓ⁾ − H^ℓ‖
       l2Full: Double)
 
-  def run(
-      spark: SparkSession,
-      n: Long = 10000,
-      avgDegree: Double = 20.0,
-      f: Double = 0.1,
-      lmax: Int = 5,
-      seed: Long = 0): Seq[Row] = {
+  private val N = 10000L
+  private val AvgDegree = 20.0
+  private val F = 0.1
+  private val Lmax = 5
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
     val h = CompatibilityMatrix.planted(k, 3.0)
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.Uniform, seed)
-    val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
-    val sk = Sketch.compute(gen.graph, seeds, k, lmax)
+    val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
+    val sk = Sketch.compute(gen.graph, seeds, k, Lmax)
     // Track the (0,1) entry — the max of H (classes 0↔1 attract), whose
     // image under H^ℓ is the paper's 0.6, 0.44, … series at positions
     // alternating between (0,1) (odd ℓ) and (0,0) (even ℓ).
-    (1 to lmax).map { l =>
+    (1 to Lmax).map { l =>
       val hl = h.pow(l)
       val (i, j) = if (l % 2 == 1) (0, 1) else (0, 0)
       Row(l, hl(i, j), sk.pNB(l)(i, j), sk.pFull(l)(i, j),

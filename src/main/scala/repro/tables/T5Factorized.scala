@@ -14,7 +14,7 @@ import repro.graphgen.{DegreeDist, PlantedGraph}
   * O(m·k·ℓ). The paper reports three orders of magnitude at ℓ=5 and
   * summarizes >10¹⁴ paths in milliseconds; the crossover shape — explicit
   * cost exploding in ℓ while factorized cost stays linear — is the claim
-  * to reproduce. Explicit evaluation is capped at `explicitMaxL` because
+  * to reproduce. Explicit evaluation is capped at [[ExplicitMaxL]] because
   * it stops being feasible, which is the point.
   */
 object T5Factorized {
@@ -26,31 +26,30 @@ object T5Factorized {
       explicitEntries: Long, // nnz of the materialized W^ℓ (−1 when skipped)
       approxPaths: Double)  // ≈ total paths of length ℓ summarized (n·d^ℓ)
 
-  def run(
-      spark: SparkSession,
-      n: Long = 3000,
-      avgDegree: Double = 20.0,
-      f: Double = 0.1,
-      ls: Seq[Int] = Seq(1, 2, 3, 4, 5, 8),
-      explicitMaxL: Int = 4,
-      seed: Long = 0): Seq[Row] = {
+  private val N = 3000L
+  private val AvgDegree = 20.0
+  private val F = 0.1
+  private val Ls = Seq(1, 2, 3, 4, 5, 8)
+  private val ExplicitMaxL = 4
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
     val h = CompatibilityMatrix.planted(k, 3.0)
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.Uniform, seed)
-    val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
-    val d = 2.0 * gen.graph.m / n
-    ls.map { l =>
+    val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
+    val d = 2.0 * gen.graph.m / N
+    Ls.map { l =>
       val (_, tFact) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = l))
       val (tExp, entries) =
-        if (l <= explicitMaxL) {
+        if (l <= ExplicitMaxL) {
           val (p, t) = TableUtil.timed {
             val pw = GraphOps.explicitPower(gen.graph.edges, l)
             pw.count()
           }
           (t, p)
         } else (-1L, -1L)
-      Row(l, tFact, tExp, entries, n * math.pow(d, l))
+      Row(l, tFact, tExp, entries, N * math.pow(d, l))
     }
   }
 

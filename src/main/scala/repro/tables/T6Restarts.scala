@@ -21,25 +21,23 @@ object T6Restarts {
       energyGlobal: Double, // GS-initialized optimum (baseline)
       accGlobal: Double)
 
-  def run(
-      spark: SparkSession,
-      n: Long = 10000,
-      avgDegree: Double = 10.0,
-      hSkew: Double = 8.0,
-      f: Double = 0.003,
-      rs: Seq[Int] = Seq(1, 2, 4, 10),
-      seed: Long = 0): Seq[Row] = {
+  private val N = 10000L
+  private val AvgDegree = 10.0
+  private val F = 0.003
+  private val Rs = Seq(1, 2, 4, 10)
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
-    val h = CompatibilityMatrix.planted(k, hSkew)
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val h = CompatibilityMatrix.planted(k, 8.0)
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+    val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
     val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
     val global = Estimators.dce(sk, init = Some(CompatibilityMatrix.toFree(gs)))
-    val ests = rs.map(r => Estimators.dcer(sk, restarts = r, seed = seed + 5))
+    val ests = Rs.map(r => Estimators.dcer(sk, restarts = r, seed = seed + 5))
     val accGlobal +: accs = Accuracy.endToEnd(gen.graph, gen.labels, seeds, global.h +: ests.map(_.h))
-    rs.lazyZip(ests).lazyZip(accs).map { (r, est, acc) =>
+    Rs.lazyZip(ests).lazyZip(accs).map { (r, est, acc) =>
       Row(r, est.energy, acc, est.h.frobDist(gs), global.energy, accGlobal)
     }
   }

@@ -24,21 +24,21 @@ object T7Classes {
       sketchMs: Long,
       optMs: Long)
 
-  def run(
-      spark: SparkSession,
-      ks: Seq[Int] = Seq(2, 3, 4, 5, 7),
-      n: Long = 10000,
-      avgDegree: Double = 10.0,
-      hSkew: Double = 8.0, // the paper's default skew; weaker h leaves no
-                           // ℓ=5 signal at high k (ρ(H̃) = (h−1)/(k−1+h))
-      f: Double = 0.05,
-      seed: Long = 0): Seq[Row] = {
-    ks.map { k =>
-      val h = CompatibilityMatrix.planted(k, hSkew)
-      val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+  private val Ks = Seq(2, 3, 4, 5, 7)
+  private val N = 10000L
+  private val AvgDegree = 10.0
+  // The paper's default skew; weaker h leaves no ℓ=5 signal at high k
+  // (ρ(H̃) = (h−1)/(k−1+h)).
+  private val HSkew = 8.0
+  private val F = 0.05
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
+    Ks.map { k =>
+      val h = CompatibilityMatrix.planted(k, HSkew)
+      val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
         Array.fill(k)(1.0 / k), h, DegreeDist.PowerLaw(0.3), seed + k)
       val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-      val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + 1)
+      val seeds = Accuracy.sampleSeeds(gen.labels, F, seed + 1)
       val (sk, tSketch) = TableUtil.timed(Sketch.compute(gen.graph, seeds, k, lmax = 5))
       val (dcer, tOpt) = TableUtil.timed(Estimators.dcer(sk, restarts = 10, seed = seed + 2))
       val mce = Estimators.mce(sk)

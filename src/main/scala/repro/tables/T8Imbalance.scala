@@ -31,17 +31,16 @@ object T8Imbalance {
       majority: Double, // accuracy of always predicting the largest class
       l2DCEr: Double)
 
-  def run(
-      spark: SparkSession,
-      n: Long = 10000,
-      avgDegree: Double = 10.0,
-      fs: Seq[Double] = Seq(0.003, 0.01, 0.03),
-      seed: Long = 0): Seq[Row] = {
+  private val N = 10000L
+  private val AvgDegree = 10.0
+  private val Fs = Seq(0.003, 0.01, 0.03)
+
+  def run(spark: SparkSession, seed: Long = 0): Seq[Row] = {
     val k = 3
-    val gen = PlantedGraph.generate(spark, n, math.round(n * avgDegree / 2),
+    val gen = PlantedGraph.generate(spark, N, math.round(N * AvgDegree / 2),
       PaperAlpha, PaperH, DegreeDist.PowerLaw(0.3), seed)
     val gs = Accuracy.measuredGS(gen.graph, gen.labels, k)
-    fs.map { f =>
+    Fs.map { f =>
       val seeds = Accuracy.sampleSeeds(gen.labels, f, seed + math.round(f * 1e6))
       val sk = Sketch.compute(gen.graph, seeds, k, lmax = 5)
       val dcer = Estimators.dcer(sk, restarts = 10, seed = seed + 3)

@@ -1,8 +1,10 @@
 package repro.tables
 
 /** Shared plumbing for the table harnesses (one module per evaluation
-  * table, see DESIGN.md §4). Each harness exposes `run(...)` returning
-  * typed rows; `jobs/` mains print them, `bench/` suites assert on them.
+  * table, see DESIGN.md §4). Each harness exposes `run(spark, seed)`,
+  * with every other parameter of its experiment a constant of the
+  * harness, returning typed rows; `jobs/Tables` prints them and the
+  * `bench/` suites assert on them, so both run the same experiment.
   */
 object TableUtil {
 

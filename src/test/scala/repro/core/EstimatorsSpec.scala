@@ -10,6 +10,10 @@ import repro.testutil.{DenseRef, SparkDraw}
 /** Pure (driver-side) estimator math. */
 class EstimatorMathSpec extends AnyFunSuite {
 
+  /** ``total`` seeds spread over ``k`` classes as evenly as they go. */
+  private def perClass(k: Int, total: Long): Vector[Long] =
+    Vector.tabulate(k)(c => total / k + (if (c < total % k) 1 else 0))
+
   test("weights are normalized powers of lambda") {
     val w = Estimators.weights(4, 10.0)
     assert(math.abs(w.sum - 1.0) < 1e-12)
@@ -52,9 +56,10 @@ class EstimatorMathSpec extends AnyFunSuite {
   test("DCE on exact targets recovers the planted H") {
     for (k <- Seq(3, 4); hSkew <- Seq(3.0, 8.0)) {
       val h = CompatibilityMatrix.planted(k, hSkew)
-      val sk = Sketches(k, 3, 100,
+      val sk = Sketches(k, 3,
         mFull = (1 to 3).map(l => h.pow(l)),
-        mNB = (1 to 3).map(l => h.pow(l)))
+        mNB = (1 to 3).map(l => h.pow(l)),
+        seedsPerClass = perClass(k, 100))
       val res = Estimators.dce(sk, lmax = 3, lambda = 10.0)
       assert(res.h.frobDist(h) < 1e-4, s"k=$k h=$hSkew:\n${res.h}")
     }
@@ -63,7 +68,8 @@ class EstimatorMathSpec extends AnyFunSuite {
   test("MCE equals DCE with lmax=1") {
     val h = CompatibilityMatrix.planted(3, 8.0)
     val noisy = h.zip(DenseRef.random(3, 3, 4).scale(0.05))(_ + _)
-    val sk = Sketches(3, 2, 100, mFull = Vector(noisy, h.pow(2)), mNB = Vector(noisy, h.pow(2)))
+    val sk = Sketches(3, 2, mFull = Vector(noisy, h.pow(2)), mNB = Vector(noisy, h.pow(2)),
+      seedsPerClass = perClass(3, 100))
     val mceH = Estimators.mce(sk).h
     val dceH = Estimators.dce(sk, lmax = 1, lambda = 1.0).h
     assert(mceH.frobDist(dceH) < 1e-7)
@@ -72,7 +78,7 @@ class EstimatorMathSpec extends AnyFunSuite {
   test("MCE result is always a valid compatibility matrix") {
     for (seed <- 1 to 5) {
       val m = DenseRef.random(3, 3, seed).map(x => x * 50)
-      val sk = Sketches(3, 1, 10, Vector(m), Vector(m))
+      val sk = Sketches(3, 1, Vector(m), Vector(m), perClass(3, 10))
       assert(CompatibilityMatrix.isValid(Estimators.mce(sk).h, 1e-6))
     }
   }
@@ -81,7 +87,7 @@ class EstimatorMathSpec extends AnyFunSuite {
     for (seed <- 1 to 3) {
       val rnd = new scala.util.Random(seed)
       val targets = (1 to 3).map(_ => DenseRef.random(3, 3, rnd.nextLong()).rowNormalized)
-      val sk = Sketches(3, 3, 50, targets, targets)
+      val sk = Sketches(3, 3, targets, targets, perClass(3, 50))
       val dce = Estimators.dce(sk, lmax = 3)
       val dcer = Estimators.dcer(sk, lmax = 3, restarts = 8, seed = seed)
       assert(dcer.energy <= dce.energy + 1e-12)
@@ -90,7 +96,7 @@ class EstimatorMathSpec extends AnyFunSuite {
 
   test("DCEr(restarts=1) is exactly DCE") {
     val targets = (1 to 3).map(l => CompatibilityMatrix.planted(3, 3.0).pow(l))
-    val sk = Sketches(3, 3, 50, targets, targets)
+    val sk = Sketches(3, 3, targets, targets, perClass(3, 50))
     val a = Estimators.dce(sk, lmax = 3)
     val b = Estimators.dcer(sk, lmax = 3, restarts = 1)
     assert(a.h.frobDist(b.h) < 1e-12 && a.energy == b.energy)

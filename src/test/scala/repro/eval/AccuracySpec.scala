@@ -113,16 +113,16 @@ class AccuracySpec extends SparkSpec {
   /** The Spark jobs ``body`` starts. */
   private def jobsOf(body: => Any): Int = SparkCounters.of(spark)(body).jobs
 
-  test("ρ(W) runs once per graph: endToEnd without rhoW starts as many jobs as with g.rho") {
+  test("ρ(W) runs once per graph: once g.rho is computed, every endToEnd starts one job per iteration") {
     val n = 40
     val g = LocalGraphs.graph(spark, n, DenseRef.randomEdges(n, 100, seed = 5))
     val truth = LocalGraphs.labels(spark, (0 until n).map(i => i -> i % 3).toMap)
     val seeds = LocalGraphs.labels(spark, (0 until n).filter(_ % 4 == 0).map(i => i -> i % 3).toMap)
     val hs = Seq(CompatibilityMatrix.planted(3, 8.0))
     g.rho
-    val passed = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, rhoW = Some(g.rho)))
-    val cached = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs))
-    assert(passed > 0 && cached == passed, s"with rhoW: $passed jobs, without: $cached")
+    val first = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs))
+    val second = jobsOf(Accuracy.endToEnd(g, truth, seeds, hs))
+    assert(first == LinBP.DefaultIterations && second == first, s"first call: $first jobs, second: $second")
   }
 
   test("accuracyOf over cached truth and seeds starts at most 1 job, with no shuffle stage") {
@@ -138,15 +138,15 @@ class AccuracySpec extends SparkSpec {
     } finally { truth.unpersist(); seeds.unpersist() } // later tests build the same tables as local relations
   }
 
-  test("endToEnd with driver-held truth and seeds and an explicit rhoW starts one job per iteration") {
+  test("endToEnd with driver-held truth and seeds and a computed g.rho starts one job per iteration") {
     val n = 40
     val g = LocalGraphs.graph(spark, n, DenseRef.randomEdges(n, 100, seed = 5))
     val truth = LocalGraphs.labels(spark, (0 until n).map(i => i -> i % 3).toMap)
     val seeds = LocalGraphs.labels(spark, (0 until n).filter(_ % 4 == 0).map(i => i -> i % 3).toMap)
     val hs = Seq(CompatibilityMatrix.planted(3, 8.0), CompatibilityMatrix.planted(3, 2.0))
-    val rho = g.rho
+    g.rho
     for (iterations <- Seq(1, 4))
-      assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations, rhoW = Some(rho))) == iterations)
+      assert(jobsOf(Accuracy.endToEnd(g, truth, seeds, hs, iterations)) == iterations)
   }
 
   test("endToEnd with no H fails, naming the cause") {
